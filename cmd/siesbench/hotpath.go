@@ -31,16 +31,38 @@ type benchRow struct {
 	BytesPerOp   int64   `json:"bytes_per_op"`
 	EpochsPerSec float64 `json:"epochs_per_sec,omitempty"`
 	GitRev       string  `json:"gitrev"`
+	Engine       string  `json:"engine"`
 }
 
+// benchFile is one suite's JSON file. The header names the host and the
+// HMAC derivation engine, so rows from different machines or builds are
+// never compared blind; each row repeats the commit and engine it ran.
 type benchFile struct {
-	Suite     string     `json:"suite"`
-	GitRev    string     `json:"gitrev"`
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	Generated string     `json:"generated"`
-	Rows      []benchRow `json:"rows"`
+	Suite      string     `json:"suite"`
+	GitRev     string     `json:"gitrev"`
+	GoVersion  string     `json:"go_version"`
+	GOOS       string     `json:"goos"`
+	GOARCH     string     `json:"goarch"`
+	NProc      int        `json:"nproc"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	CPU        string     `json:"cpu"`
+	Engine     string     `json:"engine"`
+	Generated  string     `json:"generated"`
+	Rows       []benchRow `json:"rows"`
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo; "unknown" elsewhere.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // gitRev identifies the commit the benchmark binary was built from. The
@@ -82,16 +104,21 @@ func gitRev() string {
 // writeBenchJSON writes BENCH_<suite>.json in the current directory.
 func writeBenchJSON(suite string, rows []benchRow) error {
 	f := benchFile{
-		Suite:     suite,
-		GitRev:    gitRev(),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Rows:      rows,
+		Suite:      suite,
+		GitRev:     gitRev(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(),
+		Engine:     prf.Engine(),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Rows:       rows,
 	}
 	for i := range f.Rows {
 		f.Rows[i].GitRev = f.GitRev
+		f.Rows[i].Engine = f.Engine
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -105,9 +132,14 @@ func writeBenchJSON(suite string, rows []benchRow) error {
 	return nil
 }
 
-// hotpath measures the PR's two kernels — the lazy-reduction aggregator
+// sweepN is the source count of the derive/sweep row: wide-4k's querier
+// derives this many keys per epoch.
+const sweepN = 4096
+
+// hotpath measures the hot-path kernels — the lazy-reduction aggregator
 // merge and the pad-caching HMAC Deriver — against their historical
-// counterparts, asserting the zero-allocation contract as it goes.
+// counterparts, plus one querier's full-set epoch derivation, asserting the
+// zero-allocation contract as it goes.
 func hotpath() error {
 	ns := []int{64, 256, 1024}
 	if *flagQuick {
@@ -193,13 +225,43 @@ func hotpath() error {
 	if derRow.AllocsPerOp != 0 {
 		return fmt.Errorf("hm256/deriver allocates %d times per op, want 0", derRow.AllocsPerOp)
 	}
+	deriver1 := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.Epoch1(prf.Epoch(i))
+		}
+	})
+	der1Row := record("hm1/deriver", 1, deriver1)
+	printRow(der1Row)
+	if der1Row.AllocsPerOp != 0 {
+		return fmt.Errorf("hm1/deriver allocates %d times per op, want 0", der1Row.AllocsPerOp)
+	}
+
+	// derive/sweep is the querier's whole Θ(N) epoch derivation on one core:
+	// K_t, every (k_{i,t}, ss_{i,t}) and their sums.
+	sq, _, err := core.Setup(sweepN)
+	if err != nil {
+		return err
+	}
+	if _, err := sq.PrepareEpoch(1, nil); err != nil { // builds the pads
+		return err
+	}
+	sweep := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sq.PrepareEpoch(prf.Epoch(i+2), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	printRow(record("derive/sweep", sweepN, sweep))
 
 	if *flagJSON {
 		if err := writeBenchJSON("hotpath", rows); err != nil {
 			return err
 		}
 	}
-	fmt.Println("\nShape check: lazy merge ≥2x below the reduce-per-child path at every N,")
-	fmt.Println("and both new kernels report 0 allocs/op.")
+	fmt.Printf("\nDerivation engine: %s. Shape check: lazy merge ≥2x below the\n", prf.Engine())
+	fmt.Println("reduce-per-child path at every N, and every kernel row reports 0 allocs/op.")
 	return nil
 }

@@ -370,14 +370,18 @@ type Querier struct {
 
 	derivOnce sync.Once
 	deriv     *prf.RingDerivers
+	everyID   []int // 0..N-1, the full contributor set; read-only
 }
 
-// derivers returns the reusable per-key HMAC engines, building them (2N+2
-// key schedules) on first use. Every epoch derivation afterwards skips the
-// key schedule and allocates nothing.
-func (q *Querier) derivers() *prf.RingDerivers {
-	q.derivOnce.Do(func() { q.deriv = prf.NewRingDerivers(q.ring) })
-	return q.deriv
+// derivers returns the reusable per-key HMAC engines and the full
+// contributor set, building both (2N+2 key schedules) on first use. Every
+// epoch derivation afterwards skips the key schedule and allocates nothing.
+func (q *Querier) derivers() (*prf.RingDerivers, []int) {
+	q.derivOnce.Do(func() {
+		q.deriv = prf.NewRingDerivers(q.ring)
+		q.everyID = allIDs(q.ring.N())
+	})
+	return q.deriv, q.everyID
 }
 
 // Params returns the protocol parameters.
@@ -430,7 +434,7 @@ func (q *Querier) PrepareEpoch(t prf.Epoch, contributors []int) (*EpochState, er
 		return nil, err
 	}
 	if ids == nil {
-		ids = allIDs(q.ring.N())
+		_, ids = q.derivers()
 	}
 	return q.prepareParallel(t, ids, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/sies/sies/internal/prf"
@@ -125,4 +126,37 @@ func TestSourceEncryptSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("same-epoch Encrypt: %.1f allocs/op, want 0", n)
 	}
 	_ = sink
+}
+
+// A full-set epoch derivation's garbage must not grow with N: the querier
+// derives over one read-only id set instead of building 0..N-1 per epoch,
+// which cost 8N bytes (32 KiB at N=4096).
+func TestScheduleFullSetGarbageFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates are unreliable under the race detector")
+	}
+	const epochs = 16
+	perEpoch := func(n int) uint64 {
+		q, _, err := Setup(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := NewSchedule(q, ScheduleConfig{Workers: 1})
+		if _, err := sched.EpochState(1, nil); err != nil { // builds the pads
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for e := prf.Epoch(2); e < 2+epochs; e++ {
+			if _, err := sched.EpochState(e, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / epochs
+	}
+	small, large := perEpoch(64), perEpoch(4096)
+	if large > small+1024 {
+		t.Fatalf("full-set derivation allocates %d B/epoch at N=4096 against %d B at N=64; want no growth with N", large, small)
+	}
 }

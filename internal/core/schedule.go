@@ -255,7 +255,7 @@ func (s *Schedule) state(t prf.Epoch, ids []int, isPrefetch bool) (*EpochState, 
 
 	deriveIDs := ids
 	if deriveIDs == nil {
-		deriveIDs = allIDs(s.q.ring.N())
+		_, deriveIDs = s.q.derivers()
 	}
 	es, err := s.q.prepareParallel(t, deriveIDs, s.workers)
 	s.derivations.Add(uint64(len(deriveIDs)))
@@ -302,7 +302,7 @@ func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochSt
 		return nil, errors.New("sies: no contributing sources")
 	}
 	field := q.params.Field()
-	rd := q.derivers()
+	rd, _ := q.derivers()
 	ktRaw := rd.GlobalKey(t)
 	Kt := field.Reduce(uint256.MustSetBytes(ktRaw[:]))
 	if Kt.IsZero() {

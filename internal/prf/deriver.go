@@ -1,206 +1,133 @@
 package prf
 
-import (
-	"crypto/sha1"
-	"crypto/sha256"
-	"encoding"
-	"encoding/binary"
-	"fmt"
-	"hash"
-	"sync"
-)
+import "fmt"
 
-// This file implements the reusable HMAC derivation engine.
+// This file is the reusable HMAC derivation API. A long-term key's HMAC pads
+// never change, so the key schedule — hashing key⊕ipad and key⊕opad — is paid
+// once per key, and every per-epoch derivation afterwards is allocation-free.
+// Two engines implement it, and CPUID alone picks one for the process:
 //
-// HM1 and HM256 compute HMAC(key, t) with hmac.New on every call, which
-// re-runs the underlying hash over both 64-byte key pads — the key schedule —
-// and allocates the MAC object, the pad buffers and the digest slice each
-// time. For a fixed long-term key the pads never change, so a Deriver
-// performs the key schedule exactly once at construction: it absorbs
-// key⊕ipad and key⊕opad into fresh hash states and snapshots them via the
-// hashes' BinaryMarshaler encoding. Every subsequent derivation restores a
-// snapshot (a fixed-size copy, no hashing, no allocation), feeds the 8-byte
-// epoch message and finalises into caller-independent buffers — zero heap
-// allocations per epoch on the hot path.
+//   - the SHA-NI engine (keypads.go and the amd64 assembly) keeps each key's
+//     four chaining values in 104 pointer-free, immutable bytes and derives
+//     HM256 and HM1 as two single-block compressions each;
+//   - the stdlib engine (stdpads.go) restores marshaled crypto/sha256 and
+//     crypto/sha1 states under a per-key mutex, on every other CPU.
+//
+// Both are bit-identical to crypto/hmac.
 
 // hmacBlockSize is the input block size shared by SHA-1 and SHA-256 (64
 // bytes), over which the HMAC pads are formed.
 const hmacBlockSize = 64
 
-// padState is one precomputed HMAC over a fixed key: snapshots of the inner
-// and outer hash states taken after the pads were absorbed, plus reusable
-// output buffers sized for the larger digest.
-type padState struct {
-	h       hash.Hash // running state, restored from a snapshot per use
-	inner   []byte    // marshaled state after Write(key ⊕ ipad)
-	outer   []byte    // marshaled state after Write(key ⊕ opad)
-	scratch [Size256]byte
-	out     [Size256]byte
-	size    int
-}
-
-func newPadState(newHash func() hash.Hash, key []byte) padState {
-	h := newHash()
-	if len(key) > hmacBlockSize {
-		// RFC 2104: long keys are first hashed down.
-		h.Write(key)
-		key = h.Sum(nil)
-		h.Reset()
+// Engine names the derivation engine this process runs: "sha-ni" or
+// "stdlib".
+func Engine() string {
+	if haveSHANI {
+		return "sha-ni"
 	}
-	var pad [hmacBlockSize]byte
-	copy(pad[:], key)
-	for i := range pad {
-		pad[i] ^= 0x36
-	}
-	h.Write(pad[:])
-	inner := marshalHash(h)
-	h.Reset()
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c
-	}
-	h.Write(pad[:])
-	outer := marshalHash(h)
-	h.Reset()
-	return padState{h: h, inner: inner, outer: outer, size: h.Size()}
-}
-
-// mac computes HMAC(key, msg) into s.out[:s.size]. msg must point into
-// heap-owned memory (the Deriver's epoch buffer) so no per-call allocation
-// occurs when it crosses the hash.Hash interface.
-func (s *padState) mac(msg []byte) {
-	unmarshalHash(s.h, s.inner)
-	s.h.Write(msg)
-	digest := s.h.Sum(s.scratch[:0])
-	unmarshalHash(s.h, s.outer)
-	s.h.Write(digest)
-	s.h.Sum(s.out[:0])
-}
-
-func marshalHash(h hash.Hash) []byte {
-	m, ok := h.(encoding.BinaryMarshaler)
-	if !ok {
-		panic("prf: hash does not support state snapshots")
-	}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("prf: snapshotting hash state: %v", err))
-	}
-	return b
-}
-
-func unmarshalHash(h hash.Hash, state []byte) {
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		panic(fmt.Sprintf("prf: restoring hash state: %v", err))
-	}
+	return "stdlib"
 }
 
 // Deriver serves the per-epoch PRFs of one long-term key with the HMAC key
 // schedule paid once at construction: Epoch256 is HM256(key, t) and Epoch1
 // is HM1(key, t), both allocation-free per call. It is safe for concurrent
-// use; derivations over the same key serialise on an internal mutex, which
-// the schedule engine's worker pool never contends because each worker owns
-// a disjoint range of source ids.
+// use.
 type Deriver struct {
-	mu   sync.Mutex
-	s256 padState
-	s1   padState
-	ebuf [8]byte
+	pads keyPads  // SHA-NI engine
+	std  *stdPads // stdlib engine; nil on SHA-NI CPUs
 }
 
 // NewDeriver precomputes both HMAC key schedules for key.
 func NewDeriver(key []byte) *Deriver {
-	return &Deriver{
-		s256: newPadState(sha256.New, key),
-		s1:   newPadState(sha1.New, key),
+	if haveSHANI {
+		return &Deriver{pads: newKeyPads(key)}
 	}
+	return &Deriver{std: newStdPads(key)}
 }
 
 // Epoch256 computes HM256(key, t) — the key-derivation PRF — reusing the
 // precomputed pads.
 func (d *Deriver) Epoch256(t Epoch) (out [Size256]byte) {
-	d.mu.Lock()
-	binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-	d.s256.mac(d.ebuf[:])
-	out = d.s256.out
-	d.mu.Unlock()
+	if haveSHANI {
+		d.pads.epoch256(t, &out)
+	} else {
+		d.std.epoch256(t, &out)
+	}
 	return out
 }
 
 // Epoch1 computes HM1(key, t) — the secret-share PRF — reusing the
 // precomputed pads.
 func (d *Deriver) Epoch1(t Epoch) (out [Size1]byte) {
-	d.mu.Lock()
-	binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-	d.s1.mac(d.ebuf[:])
-	copy(out[:], d.s1.out[:Size1])
-	d.mu.Unlock()
+	if haveSHANI {
+		d.pads.epoch1(t, &out)
+	} else {
+		d.std.epoch1(t, &out)
+	}
 	return out
 }
 
-// RingDerivers is the querier-side derivation engine: one Deriver per key of
-// a KeyRing, built once so every epoch's Θ(N) fan-out skips the HMAC key
-// schedules entirely. Distinct source derivers are independent, so the
-// schedule engine's workers derive disjoint id chunks concurrently with no
+// RingDerivers is the querier-side derivation engine: the pads of every key
+// of a KeyRing, built once so every epoch's Θ(N) fan-out skips the HMAC key
+// schedules entirely. On SHA-NI CPUs the source pads are one flat,
+// pointer-free slice. Distinct sources are independent, so the schedule
+// engine's workers derive disjoint id chunks concurrently with no
 // contention.
 type RingDerivers struct {
-	global  *Deriver
-	sources []*Deriver
+	global *Deriver
+	pads   []keyPads  // SHA-NI engine, indexed by source id
+	std    []*stdPads // stdlib engine, indexed by source id
 }
 
 // NewRingDerivers precomputes the pads for every key in the ring.
 func NewRingDerivers(kr *KeyRing) *RingDerivers {
-	rd := &RingDerivers{
-		global:  NewDeriver(kr.Global),
-		sources: make([]*Deriver, kr.N()),
-	}
-	for i := range rd.sources {
-		rd.sources[i] = NewDeriver(kr.Source[i])
+	rd := &RingDerivers{global: NewDeriver(kr.Global)}
+	if haveSHANI {
+		rd.pads = make([]keyPads, kr.N())
+		for i := range rd.pads {
+			rd.pads[i] = newKeyPads(kr.Source[i])
+		}
+	} else {
+		rd.std = make([]*stdPads, kr.N())
+		for i := range rd.std {
+			rd.std[i] = newStdPads(kr.Source[i])
+		}
 	}
 	return rd
 }
 
-// N returns the number of source derivers.
-func (rd *RingDerivers) N() int { return len(rd.sources) }
+// N returns the number of source keys.
+func (rd *RingDerivers) N() int {
+	if haveSHANI {
+		return len(rd.pads)
+	}
+	return len(rd.std)
+}
 
 // GlobalKey derives K_t through the cached global-key pads.
 func (rd *RingDerivers) GlobalKey(t Epoch) [Size256]byte {
 	return rd.global.Epoch256(t)
 }
 
-// SourceKey derives k_{i,t} through source i's cached pads.
-func (rd *RingDerivers) SourceKey(i int, t Epoch) ([Size256]byte, error) {
-	if i < 0 || i >= len(rd.sources) {
-		return [Size256]byte{}, fmt.Errorf("prf: source id %d out of range [0,%d)", i, len(rd.sources))
-	}
-	return rd.sources[i].Epoch256(t), nil
-}
-
-// Share derives ss_{i,t} through source i's cached pads.
-func (rd *RingDerivers) Share(i int, t Epoch) ([Size1]byte, error) {
-	if i < 0 || i >= len(rd.sources) {
-		return [Size1]byte{}, fmt.Errorf("prf: source id %d out of range [0,%d)", i, len(rd.sources))
-	}
-	return rd.sources[i].Epoch1(t), nil
-}
-
 // DeriveRange is the batch API for the schedule engine's worker pool: it
 // derives (k_{i,t}, ss_{i,t}) for every id in ids, in order, handing each
-// pair to visit without allocating. A visit error aborts the sweep. Calls
-// over disjoint id sets may run concurrently.
+// pair to visit without allocating. A visit error or an id outside [0, N)
+// aborts the sweep. Calls may run concurrently, over any ids.
 func (rd *RingDerivers) DeriveRange(t Epoch, ids []int, visit func(id int, kit [Size256]byte, ss [Size1]byte) error) error {
+	n := rd.N()
 	for _, id := range ids {
-		if id < 0 || id >= len(rd.sources) {
-			return fmt.Errorf("prf: source id %d out of range [0,%d)", id, len(rd.sources))
+		if id < 0 || id >= n {
+			return fmt.Errorf("prf: source id %d out of range [0,%d)", id, n)
 		}
-		d := rd.sources[id]
-		d.mu.Lock()
-		binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-		d.s256.mac(d.ebuf[:])
-		kit := d.s256.out
-		d.s1.mac(d.ebuf[:])
+		var kit [Size256]byte
 		var ss [Size1]byte
-		copy(ss[:], d.s1.out[:Size1])
-		d.mu.Unlock()
+		if haveSHANI {
+			p := &rd.pads[id]
+			p.epoch256(t, &kit)
+			p.epoch1(t, &ss)
+		} else {
+			rd.std[id].derive(t, &kit, &ss)
+		}
 		if err := visit(id, kit, ss); err != nil {
 			return err
 		}

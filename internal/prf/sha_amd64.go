@@ -1,0 +1,35 @@
+package prf
+
+// haveSHANI reports whether this CPU runs the SHA-NI engine. CPUID must
+// report the SHA extensions plus SSSE3 (PSHUFB, PALIGNR) and SSE4.1
+// (PBLENDW, PINSRD, PEXTRD): every instruction the two compressions use.
+var haveSHANI = detectSHANI()
+
+func detectSHANI() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
+	const (
+		ssse3 = 1 << 9  // leaf 1, ECX
+		sse41 = 1 << 19 // leaf 1, ECX
+		sha   = 1 << 29 // leaf 7, EBX
+	)
+	return ecx1&ssse3 != 0 && ecx1&sse41 != 0 && ebx7&sha != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// block256 runs the SHA-256 compression function over one block, updating
+// the chaining value h in place.
+//
+//go:noescape
+func block256(h *[8]uint32, p *[64]byte)
+
+// block1 runs the SHA-1 compression function over one block, updating the
+// chaining value h in place.
+//
+//go:noescape
+func block1(h *[5]uint32, p *[64]byte)

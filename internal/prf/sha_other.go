@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package prf
+
+// haveSHANI is false off amd64: the stdlib engine is the only path there.
+const haveSHANI = false
+
+func block256(*[8]uint32, *[64]byte) { panic("prf: SHA-NI compression without SHA-NI") }
+
+func block1(*[5]uint32, *[64]byte) { panic("prf: SHA-NI compression without SHA-NI") }

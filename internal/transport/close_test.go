@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -120,4 +121,133 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("querier Run did not exit after Close")
 	}
+}
+
+// runExitBudget bounds a test's wait for a node's Run to return after Close
+// or Crash. A healthy node returns within one exit tick plus its drain.
+const runExitBudget = 30 * time.Second
+
+// awaitRun waits for a node's Run to return and hands back its error. A Run
+// still going after runExitBudget is a shutdown hang: the test fails at once
+// with every goroutine's stack, which shows where the drain is blocked,
+// instead of running into the package timeout.
+func awaitRun(t testing.TB, run <-chan error, node string) error {
+	t.Helper()
+	select {
+	case err := <-run:
+		return err
+	case <-time.After(runExitBudget):
+		buf := make([]byte, 8<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%s: Run did not return within %v of shutdown; goroutines:\n%s", node, runExitBudget, buf)
+		return nil
+	}
+}
+
+// gatedListener runs a hook inside Close before closing the real listener,
+// so a test can act in the window where a closing node has already swapped
+// out its connection set but still accepts.
+type gatedListener struct {
+	net.Listener
+	once        sync.Once
+	beforeClose func()
+}
+
+func (l *gatedListener) Close() error {
+	l.once.Do(l.beforeClose)
+	return l.Listener.Close()
+}
+
+// TestAggregatorRefusesAcceptDuringClose pins the shutdown race behind the
+// restart-soak hang. A child that redials while Crash's closeAll runs —
+// after the connection set was swapped out, before the listener closed —
+// must be refused. Attached, its reader blocks on a connection nothing ever
+// closes, and Run never returns from its final drain.
+func TestAggregatorRefusesAcceptDuringClose(t *testing.T) {
+	q, _, err := core.Setup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parentLn.Close()
+	aggAddr := freeAddr(t)
+
+	var node *AggregatorNode
+	var late net.Conn // left open: closing it would free the stuck reader
+	defer func() {
+		if late != nil {
+			late.Close()
+		}
+	}()
+	ln := &gatedListener{beforeClose: func() {
+		// The returning child redials inside the window with its old
+		// coverage, so an attach would re-open its slot.
+		conn, err := net.Dial("tcp", aggAddr)
+		if err != nil {
+			return
+		}
+		late = conn
+		if WriteFrame(conn, Frame{Type: TypeHello, Payload: core.EncodeContributors([]int{0})}) != nil {
+			return
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := ReadFrame(conn); err != nil {
+			return // refused: the node closed the connection
+		}
+		// Accepted: wait until Run has attached it, so the reader exists.
+		deadline := time.Now().Add(5 * time.Second)
+		for node.obs.childReconnects.Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}}
+
+	type built struct {
+		node *AggregatorNode
+		err  error
+	}
+	builtCh := make(chan built, 1)
+	go func() {
+		n, err := NewAggregatorNode(AggregatorConfig{
+			ListenAddr: aggAddr, ParentAddr: parentLn.Addr().String(), NumChildren: 1,
+			// A long exit tick keeps Run serving events between Crash and
+			// its exit check, so the late hello reaches attach.
+			Timeout: 4 * time.Second,
+			Listen: func(network, addr string) (net.Listener, error) {
+				inner, err := net.Listen(network, addr)
+				if err != nil {
+					return nil, err
+				}
+				ln.Listener = inner
+				return ln, nil
+			},
+		}, q.Params().Field())
+		builtCh <- built{n, err}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	child, _ := dialChild(t, aggAddr, []int{0})
+	defer child.Close()
+	parent, err := parentLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	if hello := readUpstream(t, parent); hello.Type != TypeHello {
+		t.Fatalf("expected upstream hello, got type %d", hello.Type)
+	}
+	if err := WriteFrame(parent, Frame{Type: TypeHello}); err != nil {
+		t.Fatal(err)
+	}
+	b := <-builtCh
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	node = b.node
+	run := make(chan error, 1)
+	go func() { run <- node.Run() }()
+
+	node.Crash()
+	awaitRun(t, run, "aggregator")
 }

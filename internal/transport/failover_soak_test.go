@@ -272,13 +272,13 @@ func TestFailoverChaosSoak(t *testing.T) {
 		failovers += s.Failovers()
 		s.Close()
 	}
-	<-a1.run // crashed generations: reap, error or not
-	<-a2.run
+	awaitRun(t, a1.run, "a1") // crashed generations: reap, error or not
+	awaitRun(t, a2.run, "a2")
 	time.Sleep(500 * time.Millisecond)
 	get("standby", standby).Close()
-	<-standby.run
+	awaitRun(t, standby.run, "standby")
 	get("root", root).Close()
-	<-root.run
+	awaitRun(t, root.run, "root")
 	qn.Close()
 	<-resultsDone
 

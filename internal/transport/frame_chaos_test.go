@@ -30,10 +30,11 @@ type tornFrameCollector struct {
 	t  *testing.T
 	ln net.Listener
 
-	mu    sync.Mutex
-	seen  map[uint64]int
-	conns int
-	wg    sync.WaitGroup
+	mu       sync.Mutex
+	accepted *sync.Cond // on mu; signalled as conns grows
+	seen     map[uint64]int
+	conns    int
+	wg       sync.WaitGroup
 }
 
 func newTornFrameCollector(t *testing.T) *tornFrameCollector {
@@ -42,6 +43,7 @@ func newTornFrameCollector(t *testing.T) *tornFrameCollector {
 		t.Fatal(err)
 	}
 	c := &tornFrameCollector{t: t, ln: ln, seen: map[uint64]int{}}
+	c.accepted = sync.NewCond(&c.mu)
 	c.wg.Add(1)
 	go c.acceptLoop()
 	return c
@@ -56,6 +58,7 @@ func (c *tornFrameCollector) acceptLoop() {
 		}
 		c.mu.Lock()
 		c.conns++
+		c.accepted.Broadcast()
 		c.mu.Unlock()
 		c.wg.Add(1)
 		go func() {
@@ -83,7 +86,16 @@ func (c *tornFrameCollector) acceptLoop() {
 	}
 }
 
-func (c *tornFrameCollector) close() (map[uint64]int, int) {
+// close stops the collector once it has accepted all dialed connections
+// the writer established. The accept loop may trail the dials, and closing
+// the listener sooner resets the connections still queued in its backlog,
+// frames and all.
+func (c *tornFrameCollector) close(dialed int) (map[uint64]int, int) {
+	c.mu.Lock()
+	for c.conns < dialed {
+		c.accepted.Wait()
+	}
+	c.mu.Unlock()
 	c.ln.Close()
 	c.wg.Wait()
 	return c.seen, c.conns
@@ -98,6 +110,7 @@ type retryBatchSink struct {
 	conn    net.Conn
 	scratch net.Buffers
 	retries int
+	dials   int // successful dials
 }
 
 func (s *retryBatchSink) WriteBatch(segs [][]byte) error {
@@ -109,6 +122,7 @@ func (s *retryBatchSink) WriteBatch(segs [][]byte) error {
 				continue
 			}
 			s.conn = c
+			s.dials++
 		}
 		// net.Buffers consumes its receiver, so rebuild the view per attempt;
 		// the retained scratch keeps this allocation-free at steady state.
@@ -160,7 +174,7 @@ func TestFrameWriterNoTornFramesUnderChaos(t *testing.T) {
 	if sink.conn != nil {
 		sink.conn.Close()
 	}
-	seen, conns := collector.close()
+	seen, conns := collector.close(sink.dials)
 	if t.Failed() {
 		return
 	}
@@ -185,7 +199,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 		ResetProb:         0.05,
 	})
 	var conn net.Conn
-	retries := 0
+	retries, dialed := 0, 0
 	const epochs = 1500
 	for e := uint64(0); e < epochs; e++ {
 		p := chaosPayload(e)
@@ -200,6 +214,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 					continue
 				}
 				conn = c
+				dialed++
 			}
 			if err := WriteFrame(conn, Frame{Type: TypePSR, Epoch: e, Payload: p[:]}); err == nil {
 				break
@@ -212,7 +227,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 	if conn != nil {
 		conn.Close()
 	}
-	seen, conns := collector.close()
+	seen, conns := collector.close(dialed)
 	if t.Failed() {
 		return
 	}

@@ -664,11 +664,21 @@ func (a *AggregatorNode) Metrics() *obs.Registry { return a.obs.reg }
 // Tracer returns the node's epoch-lifecycle tracer (report → flush spans).
 func (a *AggregatorNode) Tracer() *obs.Tracer { return a.obs.tracer }
 
-// track registers a live child connection for shutdown bookkeeping.
-func (a *AggregatorNode) track(conn net.Conn) {
+// track registers a live child connection for shutdown bookkeeping. A
+// closing node refuses and closes it instead: closeAll has already swapped
+// out the set it closes, so a connection tracked now would stay open, and a
+// reader on it would block Run's final drain forever.
+func (a *AggregatorNode) track(conn net.Conn) bool {
 	a.mu.Lock()
-	a.conns[conn] = struct{}{}
+	closed := a.closed
+	if !closed {
+		a.conns[conn] = struct{}{}
+	}
 	a.mu.Unlock()
+	if closed {
+		conn.Close()
+	}
+	return !closed
 }
 
 // forget closes and unregisters a child connection.
@@ -1035,7 +1045,9 @@ func (a *AggregatorNode) Run() error {
 			if err != nil {
 				return // listener closed: shutting down
 			}
-			a.track(conn)
+			if !a.track(conn) {
+				continue // closing: the listener is about to fail Accept
+			}
 			wg.Add(1)
 			go func(conn net.Conn) {
 				defer wg.Done()
@@ -1150,6 +1162,15 @@ func (a *AggregatorNode) Run() error {
 	attach := func(ev aggEvent) {
 		key := coversKey(ev.covers)
 		a.mu.Lock()
+		if a.closed {
+			// Start no reader the shutdown drain would wait on. An accepted
+			// connection is refused here; a live one closeAll has closed.
+			a.mu.Unlock()
+			if ev.child < 0 {
+				a.forget(ev.conn)
+			}
+			return
+		}
 		idx := ev.child
 		if idx < 0 {
 			// Accept-path hello: match a returning child to its slot by its

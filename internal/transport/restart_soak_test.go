@@ -141,14 +141,15 @@ func (c *restartCluster) Kill(role chaos.CrashRole, id int) error {
 		qn, run := c.qn, c.qnRun
 		c.mu.Unlock()
 		qn.Crash()
-		<-run // loop exit closes Results, which ends this generation's drain
+		// Loop exit closes Results, which ends this generation's drain.
+		awaitRun(c.t, run, "querier")
 		return nil
 	}
 	c.mu.Lock()
 	a, run := c.agg, c.aggRun
 	c.mu.Unlock()
 	a.Crash()
-	<-run // a crash may surface as an error; either way the loop exits
+	awaitRun(c.t, run, "aggregator") // a crash may surface as an error; either way the loop exits
 	return nil
 }
 
@@ -237,7 +238,7 @@ func (c *restartCluster) settleSyncWindowKill() (bool, error) {
 	dead := qn.crashed
 	qn.mu.Unlock()
 	if dead { // the hook fired as we disarmed
-		<-run
+		awaitRun(c.t, run, "querier")
 		return true, c.startQuerier()
 	}
 	return false, nil
@@ -447,7 +448,7 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 
 	aggStats := c.agg.DurabilityStats()
 	c.agg.Close()
-	if err := <-c.aggRun; err != nil {
+	if err := awaitRun(t, c.aggRun, "aggregator"); err != nil {
 		t.Errorf("aggregator run: %v", err)
 	}
 	// The final verdict comes from the scraped exposition, as a monitoring
@@ -455,7 +456,7 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 	metrics := parsePrometheus(t, scrape(t, msrv.URL+"/metrics"))
 	qStats := c.qn.DurabilityStats()
 	c.qn.Close()
-	if err := <-c.qnRun; err != nil {
+	if err := awaitRun(t, c.qnRun, "querier"); err != nil {
 		t.Errorf("querier run: %v", err)
 	}
 	close(scrapeStop)

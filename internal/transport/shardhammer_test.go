@@ -266,7 +266,7 @@ func TestAggregatorShardedIngestHammer(t *testing.T) {
 		t.Error(err)
 	}
 	node.Close()
-	if err := <-runDone; err != nil {
+	if err := awaitRun(t, runDone, "aggregator"); err != nil {
 		t.Fatalf("aggregator run: %v", err)
 	}
 }
