@@ -132,9 +132,9 @@ func writeBenchJSON(suite string, rows []benchRow) error {
 	return nil
 }
 
-// sweepN is the source count of the derive/sweep row: wide-4k's querier
-// derives this many keys per epoch.
-const sweepN = 4096
+// sweepNs are the source counts of the derive/sweep rows: star-64's and
+// wide-4k's querier derive this many keys per epoch.
+var sweepNs = []int{64, 4096}
 
 // hotpath measures the hot-path kernels — the lazy-reduction aggregator
 // merge and the pad-caching HMAC Deriver — against their historical
@@ -239,22 +239,24 @@ func hotpath() error {
 
 	// derive/sweep is the querier's whole Θ(N) epoch derivation on one core:
 	// K_t, every (k_{i,t}, ss_{i,t}) and their sums.
-	sq, _, err := core.Setup(sweepN)
-	if err != nil {
-		return err
-	}
-	if _, err := sq.PrepareEpoch(1, nil); err != nil { // builds the pads
-		return err
-	}
-	sweep := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sq.PrepareEpoch(prf.Epoch(i+2), nil); err != nil {
-				b.Fatal(err)
-			}
+	for _, n := range sweepNs {
+		sq, _, err := core.Setup(n)
+		if err != nil {
+			return err
 		}
-	})
-	printRow(record("derive/sweep", sweepN, sweep))
+		if _, err := sq.PrepareEpoch(1, nil); err != nil { // builds the pads
+			return err
+		}
+		sweep := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sq.PrepareEpoch(prf.Epoch(i+2), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		printRow(record("derive/sweep", n, sweep))
+	}
 
 	if *flagJSON {
 		if err := writeBenchJSON("hotpath", rows); err != nil {

@@ -545,10 +545,11 @@ func EncodeContributors(ids []int) []byte {
 
 // DecodeContributors parses a contributor-id list.
 //
-// All size arithmetic is done in int: the announced count is first bounded by
-// the bytes actually present, so a hostile header (e.g. n = 1<<30 on a 4-byte
-// frame, whose 4*n wraps to 0 in uint32) is rejected before any allocation
-// instead of reserving gigabytes.
+// The announced count must equal the ids the bytes actually hold, compared
+// as unsigned 64-bit values, so a hostile header (e.g. n = 1<<30 on a 4-byte
+// frame, whose 4*n wraps to 0 in uint32, or n ≥ 1<<31, negative as a 32-bit
+// int) is rejected before any allocation instead of reserving gigabytes or
+// panicking.
 func DecodeContributors(buf []byte) ([]int, error) {
 	return DecodeContributorsBounded(buf, 0)
 }
@@ -562,11 +563,13 @@ func DecodeContributorsBounded(buf []byte, maxID int) ([]int, error) {
 	if len(buf) < 4 {
 		return nil, errors.New("sies: short contributor list")
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	if n > (len(buf)-4)/4 || len(buf)-4 != 4*n {
+	// Compare the announced count with the bytes present before it becomes
+	// an int: on 32-bit platforms a count of 2^31 or more would go negative.
+	body := len(buf) - 4
+	if body%4 != 0 || uint64(binary.BigEndian.Uint32(buf)) != uint64(body/4) {
 		return nil, errors.New("sies: contributor list length mismatch")
 	}
-	ids := make([]int, n)
+	ids := make([]int, body/4)
 	prev := -1
 	for i := range ids {
 		raw := binary.BigEndian.Uint32(buf[4+4*i:])

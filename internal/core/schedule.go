@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"github.com/sies/sies/internal/prf"
-	"github.com/sies/sies/internal/secretshare"
 	"github.com/sies/sies/internal/uint256"
 )
 
@@ -286,17 +285,21 @@ func (s *Schedule) prefetchAhead(t prf.Epoch, ids []int) {
 	go s.state(t, ids, true)
 }
 
+// innerBlocks recycles the epoch inner blocks prepareParallel shares with its
+// workers; a fresh one per epoch would be 584 B of garbage.
+var innerBlocks = sync.Pool{New: func() any { return new(prf.InnerBlock) }}
+
 // prepareParallel derives an EpochState with the per-source HMAC fan-out
 // split across up to `workers` goroutines. Both accumulators are commutative
 // — Σ k_{i,t} is a field sum, Σ ss_{i,t} a plain 256-bit sum — so chunked
 // partials combine exactly. workers ≤ 1 runs inline with no goroutines (the
 // sequential path PrepareEpoch also uses).
 //
-// The hot loop runs through the reusable derivation engine (prf.RingDerivers
-// batch API: no HMAC key schedules, no allocations) and sums the raw k_{i,t}
-// outputs through the lazy 512-bit accumulator: reduce-then-sum equals
-// sum-then-reduce mod p, so one Reduce512 per chunk replaces Θ(N) per-key
-// reductions and field additions.
+// Each chunk is one prf.RingDerivers.SumRange call (no HMAC key schedules,
+// no allocations) over one epoch's inner block, built here once and shared
+// read-only. SumRange adds the raw k_{i,t} into the lazy 512-bit
+// accumulator: reduce-then-sum equals sum-then-reduce mod p, so one
+// Reduce512 per chunk replaces Θ(N) per-key reductions and field additions.
 func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochState, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("sies: no contributing sources")
@@ -316,6 +319,9 @@ func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochSt
 	if workers > len(ids) {
 		workers = len(ids)
 	}
+	blk := innerBlocks.Get().(*prf.InnerBlock)
+	defer innerBlocks.Put(blk)
+	blk.Set(t)
 	type partial struct {
 		kSum  uint256.Int
 		ssSum uint256.Int
@@ -324,20 +330,9 @@ func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochSt
 	sumChunk := func(chunk []int) partial {
 		var p partial
 		var kacc uint256.Accumulator
-		err := rd.DeriveRange(t, chunk, func(_ int, kit [prf.Size256]byte, ss [prf.Size1]byte) error {
-			kacc.Add(uint256.MustSetBytes(kit[:]))
-			sum, carry := p.ssSum.Add(secretshare.Share(ss).Int())
-			if carry != 0 {
-				return errors.New("sies: share sum overflowed 256 bits")
-			}
-			p.ssSum = sum
-			return nil
-		})
-		if err != nil {
-			p.err = err
-			return p
+		if p.err = rd.SumRange(blk, chunk, &kacc, &p.ssSum); p.err == nil {
+			p.kSum = kacc.Sum(field)
 		}
-		p.kSum = kacc.Sum(field)
 		return p
 	}
 

@@ -63,8 +63,8 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 	for _, mutate := range []func([]byte) []byte{
 		func(b []byte) []byte { b = append([]byte(nil), b...); b[len(b)/2] ^= 1; return b }, // bit flip
-		func(b []byte) []byte { return b[:len(b)-3] },                                      // truncation
-		func(b []byte) []byte { b = append([]byte(nil), b...); b[0] = 'X'; return b },      // bad magic
+		func(b []byte) []byte { return b[:len(b)-3] },                                       // truncation
+		func(b []byte) []byte { b = append([]byte(nil), b...); b[0] = 'X'; return b },       // bad magic
 	} {
 		if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
 			t.Fatal(err)

@@ -145,7 +145,7 @@ func ReplayJournal(r io.Reader) ([]Record, int64, error) {
 		if crc.Sum32() != binary.BigEndian.Uint32(body[n-1:]) {
 			return recs, good, fmt.Errorf("%w: record checksum", ErrCorrupt)
 		}
-		recs = append(recs, Record{Type: hdr[4], Payload: body[:n-1:n-1]})
+		recs = append(recs, Record{Type: hdr[4], Payload: body[: n-1 : n-1]})
 		good += int64(4 + 1 + len(body))
 	}
 }

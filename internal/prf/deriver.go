@@ -1,6 +1,12 @@
 package prf
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+
+	"github.com/sies/sies/internal/uint256"
+)
 
 // This file is the reusable HMAC derivation API. A long-term key's HMAC pads
 // never change, so the key schedule — hashing key⊕ipad and key⊕opad — is paid
@@ -9,7 +15,8 @@ import "fmt"
 //
 //   - the SHA-NI engine (keypads.go and the amd64 assembly) keeps each key's
 //     four chaining values in 104 pointer-free, immutable bytes and derives
-//     HM256 and HM1 as two single-block compressions each;
+//     HM256 and HM1 as two single-block compressions each, the inner ones
+//     over an epoch's message schedules expanded once for every key;
 //   - the stdlib engine (stdpads.go) restores marshaled crypto/sha256 and
 //     crypto/sha1 states under a per-key mutex, on every other CPU.
 //
@@ -109,28 +116,35 @@ func (rd *RingDerivers) GlobalKey(t Epoch) [Size256]byte {
 	return rd.global.Epoch256(t)
 }
 
-// DeriveRange is the batch API for the schedule engine's worker pool: it
-// derives (k_{i,t}, ss_{i,t}) for every id in ids, in order, handing each
-// pair to visit without allocating. A visit error or an id outside [0, N)
-// aborts the sweep. Calls may run concurrently, over any ids.
-func (rd *RingDerivers) DeriveRange(t Epoch, ids []int, visit func(id int, kit [Size256]byte, ss [Size1]byte) error) error {
-	n := rd.N()
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			return fmt.Errorf("prf: source id %d out of range [0,%d)", id, n)
-		}
-		var kit [Size256]byte
-		var ss [Size1]byte
-		if haveSHANI {
-			p := &rd.pads[id]
-			p.epoch256(t, &kit)
-			p.epoch1(t, &ss)
-		} else {
-			rd.std[id].derive(t, &kit, &ss)
-		}
-		if err := visit(id, kit, ss); err != nil {
-			return err
-		}
+// SumRange is the batch API for the schedule engine's worker pool: for
+// every id in ids it adds k_{i,t} = HM256(k_i, t) to k and
+// ss_{i,t} = HM1(k_i, t) to ss, where t is blk's epoch, without allocating.
+// An id outside [0, N) or a share sum that overflows 256 bits aborts the
+// sweep and leaves k and ss partly summed. Calls may run concurrently over
+// any ids and one shared blk, each with its own k and ss.
+func (rd *RingDerivers) SumRange(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+	if haveSHANI {
+		return sumRange(rd.pads, blk, ids, k, ss)
+	}
+	return sumRangeStd(rd.std, blk.t, ids, k, ss)
+}
+
+func idRangeError(id, n int) error {
+	return fmt.Errorf("prf: source id %d out of range [0,%d)", id, n)
+}
+
+var errShareOverflow = errors.New("prf: share sum overflowed 256 bits")
+
+// addShare adds a share below 2^192, given as its three low limbs, to the
+// share sum, failing on a carry out of 256 bits.
+func addShare(ss *uint256.Int, lo, mid, hi uint64) error {
+	var c uint64
+	ss[0], c = bits.Add64(ss[0], lo, 0)
+	ss[1], c = bits.Add64(ss[1], mid, c)
+	ss[2], c = bits.Add64(ss[2], hi, c)
+	ss[3], c = bits.Add64(ss[3], 0, c)
+	if c != 0 {
+		return errShareOverflow
 	}
 	return nil
 }

@@ -2,15 +2,18 @@ package prf
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/sies/sies/internal/race"
+	"github.com/sies/sies/internal/uint256"
 )
 
 // engine is what both derivation engines serve for one key. Tests call each
@@ -20,25 +23,50 @@ type engine interface {
 	epoch1(t Epoch, out *[Size1]byte)
 }
 
+// sweepFunc is one engine's RingDerivers.SumRange over a fixed key set.
+type sweepFunc func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error
+
 type namedEngine struct {
-	name string
-	new  func(key []byte) engine
+	name  string
+	new   func(key []byte) engine
+	sweep func(keys [][]byte) sweepFunc
 }
 
 var engines = []namedEngine{
-	{"stdlib", func(key []byte) engine { return newStdPads(key) }},
-	{"sha-ni", func(key []byte) engine { p := newKeyPads(key); return &p }},
+	{"stdlib", func(key []byte) engine { return newStdPads(key) }, func(keys [][]byte) sweepFunc {
+		std := make([]*stdPads, len(keys))
+		for i, key := range keys {
+			std[i] = newStdPads(key)
+		}
+		return func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+			return sumRangeStd(std, blk.t, ids, k, ss)
+		}
+	}},
+	{"sha-ni", func(key []byte) engine { p := newKeyPads(key); return &p }, func(keys [][]byte) sweepFunc {
+		pads := make([]keyPads, len(keys))
+		for i, key := range keys {
+			pads[i] = newKeyPads(key)
+		}
+		return func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+			return sumRange(pads, blk, ids, k, ss)
+		}
+	}},
 }
 
 // forEachEngine runs f as one subtest per engine, skipping the SHA-NI engine
 // when CPUID lacks it.
 func forEachEngine(t *testing.T, f func(t *testing.T, newEngine func(key []byte) engine)) {
+	forEachSweep(t, func(t *testing.T, e namedEngine) { f(t, e.new) })
+}
+
+// forEachSweep is forEachEngine for tests that also need an engine's sweep.
+func forEachSweep(t *testing.T, f func(t *testing.T, e namedEngine)) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			if e.name == "sha-ni" && !haveSHANI {
 				t.Skip("CPUID reports no SHA-NI")
 			}
-			f(t, e.new)
+			f(t, e)
 		})
 	}
 }
@@ -185,6 +213,43 @@ func TestBlock1MatchesSHA1(t *testing.T) {
 	}
 }
 
+// refSums is the reference for a sweep over ids at epoch t: the plain
+// integer sums of HMAC-SHA256(key_i, t) and HMAC-SHA1(key_i, t), through
+// crypto/hmac and math/big.
+func refSums(keys [][]byte, t Epoch, ids []int) (k, ss *big.Int) {
+	k, ss = new(big.Int), new(big.Int)
+	msg := t.Bytes()
+	for _, id := range ids {
+		m := hmac.New(sha256.New, keys[id])
+		m.Write(msg[:])
+		k.Add(k, new(big.Int).SetBytes(m.Sum(nil)))
+		m = hmac.New(sha1.New, keys[id])
+		m.Write(msg[:])
+		ss.Add(ss, new(big.Int).SetBytes(m.Sum(nil)))
+	}
+	return k, ss
+}
+
+// checkSweep runs one sweep over ids at epoch t and compares its sums with
+// refSums.
+func checkSweep(t *testing.T, sweep sweepFunc, keys [][]byte, epoch Epoch, ids []int) {
+	t.Helper()
+	var blk InnerBlock
+	blk.Set(epoch)
+	var k uint256.Accumulator
+	var ss uint256.Int
+	if err := sweep(&blk, ids, &k, &ss); err != nil {
+		t.Fatalf("epoch %d, %d ids: %v", epoch, len(ids), err)
+	}
+	wantK, wantS := refSums(keys, epoch, ids)
+	if got := k.Word(); got.ToBig().Cmp(wantK) != 0 {
+		t.Fatalf("epoch %d ids %v: key sum %x, want %x", epoch, ids, got.ToBig(), wantK)
+	}
+	if ss.ToBig().Cmp(wantS) != 0 {
+		t.Fatalf("epoch %d ids %v: share sum %x, want %x", epoch, ids, ss.ToBig(), wantS)
+	}
+}
+
 func TestRingDeriversMatchKeyRing(t *testing.T) {
 	kr, err := NewKeyRing(9)
 	if err != nil {
@@ -199,58 +264,179 @@ func TestRingDeriversMatchKeyRing(t *testing.T) {
 		if got, want := rd.GlobalKey(epoch), kr.EpochGlobalKey(epoch); got != want {
 			t.Fatalf("epoch %d: global key mismatch", epoch)
 		}
-		err := rd.DeriveRange(epoch, all, func(i int, kit [Size256]byte, ss [Size1]byte) error {
-			if want, _ := kr.EpochSourceKey(i, epoch); kit != want {
-				t.Fatalf("epoch %d source %d: key mismatch", epoch, i)
-			}
-			if want, _ := kr.EpochShare(i, epoch); ss != want {
-				t.Fatalf("epoch %d source %d: share mismatch", epoch, i)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		checkSweep(t, rd.SumRange, kr.Source, epoch, all)
 	}
-	nop := func(int, [Size256]byte, [Size1]byte) error { return nil }
-	if err := rd.DeriveRange(1, []int{9}, nop); err == nil {
+	var blk InnerBlock
+	blk.Set(1)
+	var k uint256.Accumulator
+	var ss uint256.Int
+	if err := rd.SumRange(&blk, []int{9}, &k, &ss); err == nil {
 		t.Fatal("out-of-range source id accepted")
 	}
-	if err := rd.DeriveRange(1, []int{-1}, nop); err == nil {
+	if err := rd.SumRange(&blk, []int{-1}, &k, &ss); err == nil {
 		t.Fatal("negative source id accepted")
 	}
 }
 
-func TestDeriveRange(t *testing.T) {
+// TestSumRange checks a sweep over an unsorted subset, a sweep summed on top
+// of another, and the id checks.
+func TestSumRange(t *testing.T) {
 	kr, err := NewKeyRing(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rd := NewRingDerivers(kr)
 	ids := []int{3, 0, 7, 11}
-	var seen []int
-	err = rd.DeriveRange(5, ids, func(id int, kit [Size256]byte, ss [Size1]byte) error {
-		seen = append(seen, id)
-		wantK, _ := kr.EpochSourceKey(id, 5)
-		wantS, _ := kr.EpochShare(id, 5)
-		if kit != wantK || ss != wantS {
-			t.Fatalf("source %d: batch derivation mismatch", id)
-		}
-		return nil
-	})
-	if err != nil {
+	checkSweep(t, rd.SumRange, kr.Source, 5, ids)
+
+	// Two chunks summed into one accumulator equal one sweep over both.
+	var blk InnerBlock
+	blk.Set(5)
+	var k uint256.Accumulator
+	var ss uint256.Int
+	if err := rd.SumRange(&blk, ids[:1], &k, &ss); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(ids) {
-		t.Fatalf("visited %v, want %v", seen, ids)
+	if err := rd.SumRange(&blk, ids[1:], &k, &ss); err != nil {
+		t.Fatal(err)
 	}
-	for i, id := range ids {
-		if seen[i] != id {
-			t.Fatalf("visit order %v, want %v", seen, ids)
+	wantK, wantS := refSums(kr.Source, 5, ids)
+	if got := k.Word(); got.ToBig().Cmp(wantK) != 0 || ss.ToBig().Cmp(wantS) != 0 {
+		t.Fatal("chunked sweep differs from one sweep")
+	}
+	for _, bad := range [][]int{{12}, {-1}, {0, 1 << 30}} {
+		if err := rd.SumRange(&blk, bad, &k, &ss); err == nil {
+			t.Fatalf("ids %v accepted by SumRange", bad)
 		}
 	}
-	if err := rd.DeriveRange(5, []int{12}, func(int, [Size256]byte, [Size1]byte) error { return nil }); err == nil {
-		t.Fatal("out-of-range id accepted by DeriveRange")
+}
+
+// sweepTestKeys are 201 keys of 0–200 bytes: every HMAC key regime, keys
+// over one block hashed down.
+func sweepTestKeys() [][]byte {
+	rng := rand.New(rand.NewSource(3))
+	keys := make([][]byte, 201)
+	for i := range keys {
+		keys[i] = make([]byte, i)
+		rng.Read(keys[i])
+	}
+	return keys
+}
+
+// TestSumRangeMatchesHMAC compares each engine's sweep with crypto/hmac and
+// math/big over the full set, a sparse sorted subset, a single id and odd
+// lengths, at the edge epochs, and rejects bad ids and a share sum that
+// carries out of 256 bits.
+func TestSumRangeMatchesHMAC(t *testing.T) {
+	keys := sweepTestKeys()
+	all := make([]int, len(keys))
+	for i := range all {
+		all[i] = i
+	}
+	var sparse []int
+	for i := 0; i < len(keys); i += 7 {
+		sparse = append(sparse, i)
+	}
+	sets := [][]int{all, sparse, {64}, {200}, all[:1], all[:3], all[60:125], all[:199]}
+	forEachSweep(t, func(t *testing.T, e namedEngine) {
+		sweep := e.sweep(keys)
+		for _, epoch := range []Epoch{0, 1, 1 << 63, ^Epoch(0)} {
+			for _, ids := range sets {
+				checkSweep(t, sweep, keys, epoch, ids)
+			}
+		}
+		var blk InnerBlock
+		blk.Set(9)
+		var k uint256.Accumulator
+		var ss uint256.Int
+		for _, bad := range [][]int{{-1}, {len(keys)}, {0, -5}} {
+			if err := sweep(&blk, bad, &k, &ss); err == nil {
+				t.Fatalf("ids %v accepted", bad)
+			}
+		}
+		ss = uint256.Int{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		if err := sweep(&blk, []int{1}, &k, &ss); err == nil {
+			t.Fatal("share sum carry out of 256 bits not reported")
+		}
+	})
+}
+
+// FuzzSumRange compares each engine's sweep with crypto/hmac and math/big
+// for keys of 0–200 bytes and any epoch.
+func FuzzSumRange(f *testing.F) {
+	for _, key := range deriverTestKeys() {
+		f.Add(key, uint64(0))
+		f.Add(key, ^uint64(0))
+	}
+	f.Add(bytes.Repeat([]byte{0x36}, 200), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, key []byte, epoch uint64) {
+		if len(key) > 200 {
+			return
+		}
+		// Three related keys: the input, its reverse and its first half.
+		rev := make([]byte, len(key))
+		for i, b := range key {
+			rev[len(key)-1-i] = b
+		}
+		keys := [][]byte{key, rev, key[:len(key)/2]}
+		for _, e := range engines {
+			if e.name == "sha-ni" && !haveSHANI {
+				continue
+			}
+			checkSweep(t, e.sweep(keys), keys, Epoch(epoch), []int{0, 1, 2})
+		}
+	})
+}
+
+// TestRounds256MatchesBlock256 checks the schedule-fed SHA-256 compression
+// against block256 on random chaining values over random epochs' inner
+// blocks.
+func TestRounds256MatchesBlock256(t *testing.T) {
+	if !haveSHANI {
+		t.Skip("CPUID reports no SHA-NI")
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 500; i++ {
+		epoch := Epoch(rng.Uint64())
+		var blk InnerBlock
+		blk.Set(epoch)
+		var m [hmacBlockSize]byte
+		innerBlock(&m, epoch)
+		var h [8]uint32
+		for j := range h {
+			h[j] = rng.Uint32()
+		}
+		want, got := h, h
+		block256(&want, &m)
+		rounds256(&got, &blk.w256)
+		if got != want {
+			t.Fatalf("epoch %d, h %x: rounds256 %x, block256 %x", epoch, h, got, want)
+		}
+	}
+}
+
+// TestRounds1MatchesBlock1 is TestRounds256MatchesBlock256 for SHA-1.
+func TestRounds1MatchesBlock1(t *testing.T) {
+	if !haveSHANI {
+		t.Skip("CPUID reports no SHA-NI")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		epoch := Epoch(rng.Uint64())
+		var blk InnerBlock
+		blk.Set(epoch)
+		var m [hmacBlockSize]byte
+		innerBlock(&m, epoch)
+		var h [5]uint32
+		for j := range h {
+			h[j] = rng.Uint32()
+		}
+		want, got := h, h
+		block1(&want, &m)
+		rounds1(&got, &blk.w1)
+		if got != want {
+			t.Fatalf("epoch %d, h %x: rounds1 %x, block1 %x", epoch, h, got, want)
+		}
 	}
 }
 
@@ -297,52 +483,48 @@ type deriverEngine struct{ d *Deriver }
 func (e deriverEngine) epoch256(t Epoch, out *[Size256]byte) { *out = e.d.Epoch256(t) }
 func (e deriverEngine) epoch1(t Epoch, out *[Size1]byte)     { *out = e.d.Epoch1(t) }
 
-// TestDeriveRangeConcurrent runs overlapping DeriveRange sweeps over one
-// ring from several goroutines, as foreground and prefetch derivations of
-// the same epoch do; run with -race it checks that the ring's shared pads
-// are read-only during a sweep.
-func TestDeriveRangeConcurrent(t *testing.T) {
-	kr, err := NewKeyRing(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := NewRingDerivers(kr)
-	ids := make([]int, kr.N())
+// TestSumRangeConcurrent runs overlapping sweeps of each engine over one key
+// set and one shared inner block from several goroutines, as foreground and
+// prefetch derivations of the same epoch do; run with -race it checks that
+// the pads and the block are read-only during a sweep.
+func TestSumRangeConcurrent(t *testing.T) {
+	keys := sweepTestKeys()[:32]
+	ids := make([]int, len(keys))
 	for i := range ids {
 		ids[i] = i
 	}
 	const epoch = 77
-	wantK := make([][Size256]byte, kr.N())
-	wantS := make([][Size1]byte, kr.N())
-	for i := range ids {
-		wantK[i], _ = kr.EpochSourceKey(i, epoch)
-		wantS[i], _ = kr.EpochShare(i, epoch)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				err := rd.DeriveRange(epoch, ids, func(id int, kit [Size256]byte, ss [Size1]byte) error {
-					if kit != wantK[id] || ss != wantS[id] {
-						return errors.New("concurrent DeriveRange diverged from KeyRing")
+	wantK, wantS := refSums(keys, epoch, ids)
+	var blk InnerBlock
+	blk.Set(epoch)
+	forEachSweep(t, func(t *testing.T, e namedEngine) {
+		sweep := e.sweep(keys)
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					var k uint256.Accumulator
+					var ss uint256.Int
+					if err := sweep(&blk, ids, &k, &ss); err != nil {
+						errs <- err
+						return
 					}
-					return nil
-				})
-				if err != nil {
-					errs <- err
-					return
+					if got := k.Word(); got.ToBig().Cmp(wantK) != 0 || ss.ToBig().Cmp(wantS) != 0 {
+						errs <- errors.New("concurrent SumRange diverged from crypto/hmac")
+						return
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err, ok := <-errs; ok {
-		t.Fatal(err)
-	}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if err, ok := <-errs; ok {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestDeriverAllocs is the allocation-regression gate for epoch derivation:
@@ -371,17 +553,17 @@ func TestDeriverAllocs(t *testing.T) {
 	}
 	rd := NewRingDerivers(kr)
 	ids := []int{0, 3, 5, 9, 15}
-	visit := func(id int, kit [Size256]byte, ss [Size1]byte) error {
-		sink ^= kit[0] ^ ss[0]
-		return nil
-	}
+	var blk InnerBlock
+	var k uint256.Accumulator
+	var ss uint256.Int
 	if n := testing.AllocsPerRun(200, func() {
 		epoch++
-		if err := rd.DeriveRange(epoch, ids, visit); err != nil {
+		blk.Set(epoch)
+		if err := rd.SumRange(&blk, ids, &k, &ss); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("DeriveRange allocated %.1f times per run, want 0", n)
+		t.Fatalf("SumRange allocated %.1f times per run, want 0", n)
 	}
 
 	forEachEngine(t, func(t *testing.T, newEngine func([]byte) engine) {
@@ -397,4 +579,30 @@ func TestDeriverAllocs(t *testing.T) {
 		}
 	})
 	_ = sink
+}
+
+// TestSumRangeAllocs is the allocation gate for each engine's sweep: summing
+// an epoch's keys must not touch the heap.
+func TestSumRangeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting is unreliable under the race detector")
+	}
+	keys := sweepTestKeys()[:16]
+	ids := []int{0, 3, 5, 9, 15}
+	forEachSweep(t, func(t *testing.T, e namedEngine) {
+		sweep := e.sweep(keys)
+		var blk InnerBlock
+		var k uint256.Accumulator
+		var ss uint256.Int
+		var epoch Epoch
+		if n := testing.AllocsPerRun(200, func() {
+			epoch++
+			blk.Set(epoch)
+			if err := sweep(&blk, ids, &k, &ss); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("sweep allocated %.1f times per run, want 0", n)
+		}
+	})
 }

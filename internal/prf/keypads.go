@@ -4,10 +4,14 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
+
+	"github.com/sies/sies/internal/uint256"
 )
 
-// This file is the SHA-NI engine's Go half: the per-key state and the fixed
-// message blocks around the two assembly compressions.
+// This file is the SHA-NI engine's Go half: the per-key state, the fixed
+// message blocks around the assembly compressions and the querier's summing
+// sweep.
 //
 // HMAC(k, m) = H((k⊕opad) ‖ H((k⊕ipad) ‖ m)), and each pad fills exactly one
 // 64-byte block, so absorbing a pad is one compression whose output — the
@@ -117,4 +121,78 @@ func (p *keyPads) epoch1(t Epoch, out *[Size1]byte) {
 	for i, v := range h {
 		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
+}
+
+// InnerBlock is the inner HMAC block of one epoch, t ‖ 0x80 ‖ 0… ‖
+// bitlen(64+8), with its SHA-256 and SHA-1 message schedules expanded. Every
+// key hashes this same block at epoch t, so a sweep builds it once and each
+// key's inner compressions run the rounds alone. It holds no pointers and is
+// read-only once set, so concurrent sweeps may share it.
+type InnerBlock struct {
+	t    Epoch
+	w256 [64]uint32 // SHA-256 W[0..63]
+	w1   [80]uint32 // SHA-1 W[0..79], each row of four first word last
+}
+
+// Set makes b the inner block of epoch t. The stdlib engine reads only the
+// epoch.
+func (b *InnerBlock) Set(t Epoch) {
+	var m [hmacBlockSize]byte
+	innerBlock(&m, t)
+	b.t = t
+	var w [80]uint32
+	for i := 0; i < 16; i++ {
+		w[i] = binary.BigEndian.Uint32(m[4*i:])
+	}
+	// SHA-256 message schedule, FIPS 180-4 §6.2.2.
+	copy(b.w256[:16], w[:16])
+	for i := 16; i < 64; i++ {
+		x, y := b.w256[i-15], b.w256[i-2]
+		s0 := bits.RotateLeft32(x, -7) ^ bits.RotateLeft32(x, -18) ^ x>>3
+		s1 := bits.RotateLeft32(y, -17) ^ bits.RotateLeft32(y, -19) ^ y>>10
+		b.w256[i] = s1 + b.w256[i-7] + s0 + b.w256[i-16]
+	}
+	// SHA-1 message schedule, §6.1.2. SHA1NEXTE and SHA1RNDS4 take a row's
+	// first word in the highest lane, so each row is stored reversed.
+	for i := 16; i < 80; i++ {
+		w[i] = bits.RotateLeft32(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
+	}
+	for i, v := range w {
+		b.w1[i^3] = v
+	}
+}
+
+// sumRange is the SHA-NI engine's RingDerivers.SumRange over pads. A key
+// issues its four compressions inner-256, inner-1, outer-256, outer-1: the
+// SHA-256 and SHA-1 chains are independent, so the out-of-order core runs
+// one while the other waits on its round latency.
+func sumRange(pads []keyPads, blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+	var o256, o1 [hmacBlockSize]byte
+	for _, id := range ids {
+		if uint(id) >= uint(len(pads)) {
+			return idRangeError(id, len(pads))
+		}
+		p := &pads[id]
+		h256, h1 := p.in256, p.in1
+		rounds256(&h256, &blk.w256)
+		rounds1(&h1, &blk.w1)
+		outerBlock(&o256, h256[:])
+		h256 = p.out256
+		block256(&h256, &o256)
+		outerBlock(&o1, h1[:])
+		h1 = p.out1
+		block1(&h1, &o1)
+
+		k.Add(uint256.Int{
+			uint64(h256[6])<<32 | uint64(h256[7]),
+			uint64(h256[4])<<32 | uint64(h256[5]),
+			uint64(h256[2])<<32 | uint64(h256[3]),
+			uint64(h256[0])<<32 | uint64(h256[1]),
+		})
+		err := addShare(ss, uint64(h1[3])<<32|uint64(h1[4]), uint64(h1[1])<<32|uint64(h1[2]), uint64(h1[0]))
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -200,6 +200,66 @@ TEXT ·block1(SB), NOSPLIT, $0-16
 	PEXTRD $3, E0, 16(DI)
 	RET
 
+// ROUNDS4 runs four rounds from the schedule row at off: SHA1NEXTE adds the
+// E that ABCD in ein implies to the row, ABCD is saved in eout for the next
+// group, and SHA1RNDS4 applies round function f.
+#define ROUNDS4(off, f, ein, eout) \
+	MOVOU     off(SI), MSG0; \
+	SHA1NEXTE MSG0, ein; \
+	MOVO      ABCD, eout; \
+	SHA1RNDS4 $f, ein, ABCD
+
+// func rounds1(h *[5]uint32, w *[80]uint32)
+//
+// rounds1 is block1 over a block whose message schedule W[0..79] is already
+// expanded, each row of four words in the lanes SHA1NEXTE consumes (first
+// word highest): the rounds alone, with no SHA1MSG1/2 and no byte shuffle.
+TEXT ·rounds1(SB), NOSPLIT, $0-16
+	MOVQ h+0(FP), DI
+	MOVQ w+8(FP), SI
+
+	MOVOU  (DI), ABCD
+	PSHUFD $0x1b, ABCD, ABCD
+	PXOR   E0, E0
+	PINSRD $3, 16(DI), E0
+
+	MOVO E0, E0SAVE
+	MOVO ABCD, ABCDSAVE
+
+	// rounds 0-3 add E to the first row directly
+	MOVOU     (SI), MSG0
+	PADDD     MSG0, E0
+	MOVO      ABCD, E1
+	SHA1RNDS4 $0, E0, ABCD
+
+	ROUNDS4(16, 0, E1, E0)
+	ROUNDS4(32, 0, E0, E1)
+	ROUNDS4(48, 0, E1, E0)
+	ROUNDS4(64, 0, E0, E1)
+	ROUNDS4(80, 1, E1, E0)
+	ROUNDS4(96, 1, E0, E1)
+	ROUNDS4(112, 1, E1, E0)
+	ROUNDS4(128, 1, E0, E1)
+	ROUNDS4(144, 1, E1, E0)
+	ROUNDS4(160, 2, E0, E1)
+	ROUNDS4(176, 2, E1, E0)
+	ROUNDS4(192, 2, E0, E1)
+	ROUNDS4(208, 2, E1, E0)
+	ROUNDS4(224, 2, E0, E1)
+	ROUNDS4(240, 3, E1, E0)
+	ROUNDS4(256, 3, E0, E1)
+	ROUNDS4(272, 3, E1, E0)
+	ROUNDS4(288, 3, E0, E1)
+	ROUNDS4(304, 3, E1, E0)
+
+	SHA1NEXTE E0SAVE, E0
+	PADDD     ABCDSAVE, ABCD
+
+	PSHUFD $0x1b, ABCD, ABCD
+	MOVOU  ABCD, (DI)
+	PEXTRD $3, E0, 16(DI)
+	RET
+
 // flip1 reverses all 16 bytes of a message row: big-endian words, with the
 // first word in the highest lane to match the ABCD layout.
 DATA flip1<>+0(SB)/8, $0x08090a0b0c0d0e0f

@@ -227,6 +227,65 @@ TEXT ·block256(SB), NOSPLIT, $0-16
 	MOVOU   X2, 16(DI)
 	RET
 
+// ROUNDS4 runs rounds i..i+3 from the schedule row at off: W[i..i+3] plus
+// their round constants, two rounds per SHA256RNDS2.
+#define ROUNDS4(off) \
+	MOVOU       off(SI), X0; \
+	PADDD       off(AX), X0; \
+	SHA256RNDS2 X0, X1, X2; \
+	PSHUFD      $0x0e, X0, X0; \
+	SHA256RNDS2 X0, X2, X1
+
+// func rounds256(h *[8]uint32, w *[64]uint32)
+//
+// rounds256 is block256 over a block whose message schedule W[0..63] is
+// already expanded: the rounds alone, with no SHA256MSG1/2 and no byte
+// shuffle of the message.
+TEXT ·rounds256(SB), NOSPLIT, $0-16
+	MOVQ h+0(FP), DI
+	MOVQ w+8(FP), SI
+
+	MOVOU   (DI), X1
+	MOVOU   16(DI), X2
+	PSHUFD  $0xb1, X1, X1 // CDAB
+	PSHUFD  $0x1b, X2, X2 // EFGH
+	MOVO    X1, X7
+	PALIGNR $0x08, X2, X1 // ABEF
+	PBLENDW $0xf0, X7, X2 // CDGH
+	LEAQ    k256<>+0(SB), AX
+
+	MOVO X1, X9
+	MOVO X2, X10
+
+	ROUNDS4(0)
+	ROUNDS4(16)
+	ROUNDS4(32)
+	ROUNDS4(48)
+	ROUNDS4(64)
+	ROUNDS4(80)
+	ROUNDS4(96)
+	ROUNDS4(112)
+	ROUNDS4(128)
+	ROUNDS4(144)
+	ROUNDS4(160)
+	ROUNDS4(176)
+	ROUNDS4(192)
+	ROUNDS4(208)
+	ROUNDS4(224)
+	ROUNDS4(240)
+
+	PADDD X9, X1
+	PADDD X10, X2
+
+	PSHUFD  $0x1b, X1, X1
+	PSHUFD  $0xb1, X2, X2
+	MOVO    X1, X7
+	PBLENDW $0xf0, X2, X1
+	PALIGNR $0x08, X7, X2
+	MOVOU   X1, (DI)
+	MOVOU   X2, 16(DI)
+	RET
+
 // flip256 byte-swaps each 32-bit word of a message row to big-endian order.
 DATA flip256<>+0(SB)/8, $0x0405060700010203
 DATA flip256<>+8(SB)/8, $0x0c0d0e0f08090a0b

@@ -33,3 +33,16 @@ func block256(h *[8]uint32, p *[64]byte)
 //
 //go:noescape
 func block1(h *[5]uint32, p *[64]byte)
+
+// rounds256 is block256 over a block whose message schedule W[0..63] is
+// already expanded: it runs the 64 rounds alone.
+//
+//go:noescape
+func rounds256(h *[8]uint32, w *[64]uint32)
+
+// rounds1 is block1 over a block whose message schedule W[0..79] is already
+// expanded in SHA1NEXTE's lane order (InnerBlock.w1): it runs the 80 rounds
+// alone.
+//
+//go:noescape
+func rounds1(h *[5]uint32, w *[80]uint32)

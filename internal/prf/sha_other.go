@@ -8,3 +8,7 @@ const haveSHANI = false
 func block256(*[8]uint32, *[64]byte) { panic("prf: SHA-NI compression without SHA-NI") }
 
 func block1(*[5]uint32, *[64]byte) { panic("prf: SHA-NI compression without SHA-NI") }
+
+func rounds256(*[8]uint32, *[64]uint32) { panic("prf: SHA-NI compression without SHA-NI") }
+
+func rounds1(*[5]uint32, *[80]uint32) { panic("prf: SHA-NI compression without SHA-NI") }

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"hash"
 	"sync"
+
+	"github.com/sies/sies/internal/uint256"
 )
 
 // This file is the stdlib engine, the derivation path on every CPU without
@@ -135,4 +137,22 @@ func (d *stdPads) derive(t Epoch, kit *[Size256]byte, ss *[Size1]byte) {
 	d.s1.mac(d.ebuf[:])
 	copy(ss[:], d.s1.out[:Size1])
 	d.mu.Unlock()
+}
+
+// sumRangeStd is the stdlib engine's RingDerivers.SumRange over std.
+func sumRangeStd(std []*stdPads, t Epoch, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+	var kit [Size256]byte
+	var s [Size1]byte
+	be := binary.BigEndian
+	for _, id := range ids {
+		if uint(id) >= uint(len(std)) {
+			return idRangeError(id, len(std))
+		}
+		std[id].derive(t, &kit, &s)
+		k.Add(uint256.Int{be.Uint64(kit[24:]), be.Uint64(kit[16:]), be.Uint64(kit[8:]), be.Uint64(kit[:])})
+		if err := addShare(ss, be.Uint64(s[12:]), be.Uint64(s[4:]), uint64(be.Uint32(s[:]))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
