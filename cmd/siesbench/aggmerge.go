@@ -80,28 +80,28 @@ func aggmergeBench() error {
 		// Alternate configurations and keep each one's best rep: single runs
 		// are tens of milliseconds, where scheduler and GC noise would drown
 		// the configuration effect.
-		var serial, sharded float64
+		var serial, sharded benchRow
 		for r := 0; r < reps; r++ {
 			s1, err := runAggMerge(field, covers, payloads, epochs, 1, 1)
 			if err != nil {
 				return fmt.Errorf("C=%d serial: %w", c, err)
 			}
-			if s1 > serial {
+			if s1.EpochsPerSec > serial.EpochsPerSec {
 				serial = s1
 			}
 			s8, err := runAggMerge(field, covers, payloads, epochs, 0, 0) // defaults
 			if err != nil {
 				return fmt.Errorf("C=%d sharded: %w", c, err)
 			}
-			if s8 > sharded {
+			if s8.EpochsPerSec > sharded.EpochsPerSec {
 				sharded = s8
 			}
 		}
-		transportRows = append(transportRows,
-			benchRow{Op: fmt.Sprintf("aggmerge/serial/C=%d", c), N: nSources, NsPerOp: 1e9 / serial, EpochsPerSec: serial},
-			benchRow{Op: fmt.Sprintf("aggmerge/sharded/C=%d", c), N: nSources, NsPerOp: 1e9 / sharded, EpochsPerSec: sharded},
-		)
-		fmt.Printf("C=%-6d %18.0f %18.0f %9.2fx\n", c, serial, sharded, sharded/serial)
+		serial.Op, serial.N = fmt.Sprintf("aggmerge/serial/C=%d", c), nSources
+		sharded.Op, sharded.N = fmt.Sprintf("aggmerge/sharded/C=%d", c), nSources
+		transportRows = append(transportRows, serial, sharded)
+		fmt.Printf("C=%-6d %18.0f %18.0f %9.2fx\n", c, serial.EpochsPerSec, sharded.EpochsPerSec,
+			sharded.EpochsPerSec/serial.EpochsPerSec)
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
 		fmt.Println("\nShape check: the sharded table + parallel merge plane pulls away as fanout")
@@ -117,16 +117,17 @@ func aggmergeBench() error {
 
 // runAggMerge drives one aggregator configuration with the prebuilt per-child
 // report payloads and returns end-to-end epochs/sec, timed from the first
-// child write to the last flush observed at the fake parent.
-func runAggMerge(f *uint256.Field, covers [][]int, payloads [][][]byte, epochs, shards, workers int) (float64, error) {
+// child write to the last flush observed at the fake parent, with the
+// process's allocations per epoch over the same window.
+func runAggMerge(f *uint256.Field, covers [][]int, payloads [][][]byte, epochs, shards, workers int) (benchRow, error) {
 	parentLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 	defer parentLn.Close()
 	aggAddr, err := loopbackAddr()
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 
 	c := len(covers)
@@ -154,37 +155,41 @@ func runAggMerge(f *uint256.Field, covers [][]int, payloads [][][]byte, epochs, 
 	}()
 	for i := range conns {
 		if conns[i], err = dialAggChild(aggAddr, covers[i]); err != nil {
-			return 0, err
+			return benchRow{}, err
 		}
 	}
 
 	parent, err := parentLn.Accept()
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 	defer parent.Close()
 	br := bufio.NewReaderSize(parent, 64<<10)
+	// A recycling reader keeps the fake parent's own allocations out of the
+	// measured window.
+	up := transport.NewFrameReader(br)
 	parent.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		fr, err := transport.ReadFrame(br)
+		fr, err := up.Read()
 		if err != nil {
-			return 0, fmt.Errorf("upstream hello: %w", err)
+			return benchRow{}, fmt.Errorf("upstream hello: %w", err)
 		}
 		if fr.Type == transport.TypeHello {
 			break
 		}
 	}
 	if err := transport.WriteFrame(parent, transport.Frame{Type: transport.TypeHello}); err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 
 	b := <-builtCh
 	if b.err != nil {
-		return 0, b.err
+		return benchRow{}, b.err
 	}
 	runDone := make(chan error, 1)
 	go func() { runDone <- b.node.Run() }()
 
+	mem := markMem()
 	start := time.Now()
 	sendErr := make(chan error, c)
 	var wg sync.WaitGroup
@@ -210,19 +215,20 @@ func runAggMerge(f *uint256.Field, covers [][]int, payloads [][][]byte, epochs, 
 	seen := 0
 	parent.SetReadDeadline(time.Now().Add(120 * time.Second))
 	for seen < epochs {
-		fr, err := transport.ReadFrame(br)
+		fr, err := up.Read()
 		if err != nil {
-			return 0, fmt.Errorf("after %d/%d flushes: %w", seen, epochs, err)
+			return benchRow{}, fmt.Errorf("after %d/%d flushes: %w", seen, epochs, err)
 		}
 		if fr.Type == transport.TypePSR || fr.Type == transport.TypeFailure {
 			seen++
 		}
 	}
 	elapsed := time.Since(start)
+	allocs, bytes := mem.perOp(epochs)
 	wg.Wait()
 	select {
 	case err := <-sendErr:
-		return 0, err
+		return benchRow{}, err
 	default:
 	}
 
@@ -236,9 +242,10 @@ func runAggMerge(f *uint256.Field, covers [][]int, payloads [][][]byte, epochs, 
 	}
 	b.node.Close()
 	if err := <-runDone; err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
-	return float64(epochs) / elapsed.Seconds(), nil
+	eps := float64(epochs) / elapsed.Seconds()
+	return benchRow{NsPerOp: 1e9 / eps, EpochsPerSec: eps, AllocsPerOp: allocs, BytesPerOp: bytes}, nil
 }
 
 // dialAggChild opens a raw child connection: hello out, hello-ack in. Dials

@@ -13,11 +13,11 @@
 //	siesbench -figure 6a         # Figure 6a (querier CPU vs N)
 //	siesbench -figure 6b         # Figure 6b (querier CPU vs domain)
 //	siesbench -hotpath           # zero-allocation hot-path kernel sweep
-//	siesbench -pipeline          # batched I/O plane epochs/sec sweep
+//	siesbench -cluster           # live-cluster epochs/sec sweep
 //	siesbench -aggmerge          # sharded aggregator merge-plane sweep
 //	siesbench -quick ...         # smaller sweeps for a fast smoke run
 //	siesbench -json ...          # also write machine-readable BENCH_<suite>.json
-//	siesbench -pipeline -baseline BENCH_transport.json   # CI regression gate
+//	siesbench -cluster -baseline BENCH_transport.json    # CI regression gate
 //
 // Absolute numbers differ from the paper (different machine, Go stdlib
 // instead of GMP/OpenSSL); the shapes — who wins, by what factor, where the
@@ -66,7 +66,7 @@ func main() {
 		pprof.StartCPUProfile(f)
 		defer pprof.StopCPUProfile()
 	}
-	if !*flagAll && *flagTable == "" && *flagFigure == "" && !*flagExtra && !*flagSchedule && !*flagHotpath && !*flagPipeline && !*flagAggMerge {
+	if !*flagAll && *flagTable == "" && *flagFigure == "" && !*flagExtra && !*flagSchedule && !*flagHotpath && !*flagCluster && !*flagAggMerge {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -109,8 +109,8 @@ func main() {
 	if *flagAll || *flagHotpath {
 		run("Extra — zero-allocation hot-path kernels (lazy merge + Deriver)", hotpath)
 	}
-	if *flagAll || *flagPipeline {
-		run("Extra — batched I/O plane (coalesced frames + pipelined querier)", transportBench)
+	if *flagAll || *flagCluster {
+		run("Extra — live cluster over loopback TCP (epochs/sec, allocs/epoch)", transportBench)
 	}
 	if *flagAll || *flagAggMerge {
 		run("Extra — sharded aggregator merge plane (fanout × shard sweep)", aggmergeBench)

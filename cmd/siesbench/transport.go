@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -15,12 +16,12 @@ import (
 )
 
 var (
-	flagPipeline = flag.Bool("pipeline", false, "run the batched I/O plane throughput sweep (epochs/sec over loopback TCP)")
+	flagCluster  = flag.Bool("cluster", false, "run the live-cluster throughput sweep (epochs/sec over loopback TCP)")
 	flagBaseline = flag.String("baseline", "", "BENCH_transport.json to gate against; fail on >20% epochs/sec regression")
 )
 
 // transportRows accumulates the transport-suite benchmark rows across the
-// -pipeline and -aggmerge sweeps so one BENCH_transport.json holds both; main
+// -cluster and -aggmerge sweeps so one BENCH_transport.json holds both; main
 // writes and gates it after every selected suite has run.
 var transportRows []benchRow
 
@@ -44,12 +45,25 @@ func flushTransportRows() error {
 	return nil
 }
 
+// memMark measures the heap allocations of a timed loop across the whole
+// process: take markMem before the loop and call perOp after it.
+type memMark struct{ allocs, bytes uint64 }
+
+func markMem() memMark {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return memMark{ms.Mallocs, ms.TotalAlloc}
+}
+
+// perOp returns the allocations and bytes allocated per op since m.
+func (m memMark) perOp(ops int) (allocs, bytes int64) {
+	now := markMem()
+	return int64((now.allocs - m.allocs) / uint64(ops)), int64((now.bytes - m.bytes) / uint64(ops))
+}
+
 // transportBench measures end-to-end epochs/sec of a live cluster — N source
 // nodes streaming into one aggregator into the querier, all over loopback TCP
-// — in two configurations: the classic one-syscall-per-frame plane, and the
-// batched plane (coalescing FrameWriters at every sender, buffered frame
-// reads, the pipelined querier serve path with group-commit-shaped ack
-// coalescing). The ratio is the PR's headline number.
+// — as siesnode deploys it, with the cluster's allocations per epoch.
 func transportBench() error {
 	type sweep struct{ n, epochs int }
 	sweeps := []sweep{{64, 800}, {256, 400}, {1024, 150}}
@@ -57,58 +71,42 @@ func transportBench() error {
 		sweeps = []sweep{{64, 400}, {256, 200}}
 	}
 
-	fmt.Printf("%-8s %8s %16s %16s %10s\n", "N", "epochs", "unbatched eps", "batched eps", "speedup")
+	fmt.Printf("%-8s %8s %12s %14s %14s\n", "N", "epochs", "epochs/sec", "allocs/epoch", "bytes/epoch")
 	for _, s := range sweeps {
-		base, err := runTransportEpochs(s.n, s.epochs, false)
+		row, err := runTransportEpochs(s.n, s.epochs)
 		if err != nil {
-			return fmt.Errorf("N=%d unbatched: %w", s.n, err)
+			return fmt.Errorf("N=%d: %w", s.n, err)
 		}
-		batched, err := runTransportEpochs(s.n, s.epochs, true)
-		if err != nil {
-			return fmt.Errorf("N=%d batched: %w", s.n, err)
-		}
-		transportRows = append(transportRows,
-			benchRow{Op: "cluster/unbatched", N: s.n, NsPerOp: 1e9 / base, EpochsPerSec: base},
-			benchRow{Op: "cluster/batched", N: s.n, NsPerOp: 1e9 / batched, EpochsPerSec: batched},
-		)
-		fmt.Printf("%-8d %8d %16.0f %16.0f %9.2fx\n", s.n, s.epochs, base, batched, batched/base)
+		transportRows = append(transportRows, row)
+		fmt.Printf("%-8d %8d %12.0f %14d %14d\n", s.n, s.epochs, row.EpochsPerSec, row.AllocsPerOp, row.BytesPerOp)
 	}
-
-	fmt.Println("\nShape check: batching wins grow with N as per-frame syscalls are amortised;")
-	fmt.Println("the batched plane holds >=2x epochs/sec at N=256.")
 	return nil
 }
 
-// runTransportEpochs drives one cluster configuration for the given number of
-// epochs and returns end-to-end epochs/sec, timed from the first report to
-// the last verified result.
-func runTransportEpochs(n, epochs int, batched bool) (float64, error) {
+// runTransportEpochs drives the cluster for the given number of epochs and
+// returns its row: end-to-end epochs/sec, timed from the first report to the
+// last verified result, and the process's allocations per epoch over the
+// same window.
+func runTransportEpochs(n, epochs int) (benchRow, error) {
 	q, sources, err := core.Setup(n)
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
-	qcfg := transport.QuerierConfig{ListenAddr: "127.0.0.1:0"}
-	if batched {
-		qcfg.Pipeline = &transport.PipelineConfig{}
-	}
-	qn, err := transport.NewQuerierNodeConfig(qcfg, q)
+	qn, err := transport.NewQuerierNodeConfig(transport.QuerierConfig{ListenAddr: "127.0.0.1:0"}, q)
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 	go qn.Run()
 
 	aggAddr, err := loopbackAddr()
 	if err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 	// The aggregator constructor blocks until all n children have completed
 	// their hello handshake, so it must run concurrently with the dials below.
 	acfg := transport.AggregatorConfig{
 		ListenAddr: aggAddr, ParentAddr: qn.Addr(),
 		NumChildren: n, Timeout: 10 * time.Second,
-	}
-	if batched {
-		acfg.Coalesce = &transport.FrameWriterConfig{}
 	}
 	aggReady := make(chan *transport.AggregatorNode, 1)
 	aggDone := make(chan error, 1)
@@ -124,17 +122,13 @@ func runTransportEpochs(n, epochs int, batched bool) (float64, error) {
 
 	srcs := make([]*transport.SourceNode, n)
 	for i, s := range sources {
-		scfg := transport.SourceConfig{ParentAddr: aggAddr}
-		if batched {
-			scfg.Coalesce = &transport.FrameWriterConfig{}
-		}
-		if srcs[i], err = dialSourceRetry(scfg, s); err != nil {
-			return 0, err
+		if srcs[i], err = dialSourceRetry(transport.SourceConfig{ParentAddr: aggAddr}, s); err != nil {
+			return benchRow{}, err
 		}
 	}
 	agg := <-aggReady
 	if agg == nil {
-		return 0, <-aggDone
+		return benchRow{}, <-aggDone
 	}
 
 	done := make(chan error, 1)
@@ -153,18 +147,20 @@ func runTransportEpochs(n, epochs int, batched bool) (float64, error) {
 		done <- fmt.Errorf("results closed after %d/%d epochs", got, epochs)
 	}()
 
+	mem := markMem()
 	start := time.Now()
 	for e := 1; e <= epochs; e++ {
 		for i := range srcs {
 			if err := srcs[i].Report(prf.Epoch(e), uint64(1000+i)); err != nil {
-				return 0, err
+				return benchRow{}, err
 			}
 		}
 	}
 	if err := <-done; err != nil {
-		return 0, err
+		return benchRow{}, err
 	}
 	elapsed := time.Since(start)
+	allocs, bytes := mem.perOp(epochs)
 
 	for _, s := range srcs {
 		s.Close()
@@ -172,7 +168,8 @@ func runTransportEpochs(n, epochs int, batched bool) (float64, error) {
 	agg.Close()
 	<-aggDone
 	qn.Close()
-	return float64(epochs) / elapsed.Seconds(), nil
+	eps := float64(epochs) / elapsed.Seconds()
+	return benchRow{Op: "cluster", N: n, NsPerOp: 1e9 / eps, EpochsPerSec: eps, AllocsPerOp: allocs, BytesPerOp: bytes}, nil
 }
 
 // dialSourceRetry retries a source dial briefly: the first dial races the

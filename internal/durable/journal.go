@@ -52,18 +52,14 @@ type Journal struct {
 	replayed   int // records recovered at open (telemetry, tests)
 	truncated  int64
 	goodOffset int64
+	syncs      int64 // fsyncs issued (telemetry)
+}
 
-	// Group-commit state (see groupcommit.go). syncMu orders sync rounds and
-	// guards everything below; it is only ever acquired after mu when both are
-	// held, and SyncTo never holds it across a mu acquisition, so the lock
-	// order mu → syncMu is acyclic.
-	syncMu     sync.Mutex
-	syncCond   *sync.Cond
-	syncing    bool  // a leader's fsync round is in flight
-	synced     int64 // bytes known durable (fsynced) from offset 0
-	syncs      int64 // fsyncs issued (inline, Sync, and SyncTo rounds)
-	shared     int64 // SyncTo acks satisfied without leading an fsync
-	beforeSync func()
+// JournalStats is a snapshot of the journal's append/sync counters.
+type JournalStats struct {
+	Appends  int   // records appended since open/reset
+	Replayed int   // records recovered at open
+	Syncs    int64 // fsyncs issued (Append, Sync and Reset)
 }
 
 // OpenJournal opens (creating if needed) the journal at path, replays every
@@ -84,7 +80,7 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, serr
 	}
-	j := &Journal{f: f, path: path, SyncEvery: 1, replayed: len(recs), goodOffset: good, synced: good}
+	j := &Journal{f: f, path: path, SyncEvery: 1, replayed: len(recs), goodOffset: good}
 	if good < st.Size() {
 		// Torn or corrupt tail: cut it so the next append starts on a clean
 		// record boundary instead of extending garbage.
@@ -150,12 +146,11 @@ func ReplayJournal(r io.Reader) ([]Record, int64, error) {
 	}
 }
 
-// appendLocked frames and writes rec in a single Write call (so a crash tears
-// at most the final record), returning the journal's end offset after the
-// write. Caller holds j.mu.
-func (j *Journal) appendLocked(rec Record) (int64, error) {
+// appendLocked frames and writes rec in a single Write call, so a crash tears
+// at most the final record. Caller holds j.mu.
+func (j *Journal) appendLocked(rec Record) error {
 	if j.f == nil {
-		return 0, errors.New("durable: journal closed")
+		return errors.New("durable: journal closed")
 	}
 	j.buf = j.buf[:0]
 	j.buf = binary.BigEndian.AppendUint32(j.buf, uint32(1+len(rec.Payload)))
@@ -164,26 +159,22 @@ func (j *Journal) appendLocked(rec Record) (int64, error) {
 	sum := crc32.ChecksumIEEE(j.buf)
 	j.buf = binary.BigEndian.AppendUint32(j.buf, sum)
 	if _, err := j.f.Write(j.buf); err != nil {
-		return 0, err
+		return err
 	}
 	j.goodOffset += int64(len(j.buf))
 	j.appended++
 	j.sinceSync++
-	return j.goodOffset, nil
+	return nil
 }
 
-// noteSynced records that every byte up to off is on stable storage. Safe to
-// call with j.mu held (lock order mu → syncMu).
-func (j *Journal) noteSynced(off int64) {
-	j.syncMu.Lock()
-	if off > j.synced {
-		j.synced = off
+// syncLocked fsyncs the journal file. Caller holds j.mu.
+func (j *Journal) syncLocked() error {
+	j.sinceSync = 0
+	if err := j.f.Sync(); err != nil {
+		return err
 	}
 	j.syncs++
-	if j.syncCond != nil {
-		j.syncCond.Broadcast()
-	}
-	j.syncMu.Unlock()
+	return nil
 }
 
 // Append frames and writes rec, fsyncing per the SyncEvery policy.
@@ -193,8 +184,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	end, err := j.appendLocked(rec)
-	if err != nil {
+	if err := j.appendLocked(rec); err != nil {
 		return err
 	}
 	every := j.SyncEvery
@@ -202,11 +192,7 @@ func (j *Journal) Append(rec Record) error {
 		every = 1
 	}
 	if j.sinceSync >= every {
-		j.sinceSync = 0
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-		j.noteSynced(end)
+		return j.syncLocked()
 	}
 	return nil
 }
@@ -218,12 +204,7 @@ func (j *Journal) Sync() error {
 	if j.f == nil {
 		return nil
 	}
-	j.sinceSync = 0
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.noteSynced(j.goodOffset)
-	return nil
+	return j.syncLocked()
 }
 
 // Reset empties the journal — the step after a successful checkpoint has
@@ -240,15 +221,15 @@ func (j *Journal) Reset() error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	j.goodOffset, j.sinceSync, j.appended = 0, 0, 0
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.syncMu.Lock()
-	j.synced = 0
-	j.syncs++
-	j.syncMu.Unlock()
-	return nil
+	j.goodOffset, j.appended = 0, 0
+	return j.syncLocked()
+}
+
+// Stats returns a snapshot of the journal's append/sync counters.
+func (j *Journal) Stats() JournalStats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JournalStats{Appends: j.appended, Replayed: j.replayed, Syncs: j.syncs}
 }
 
 // Size returns the journal's clean length in bytes.
@@ -268,8 +249,7 @@ func (j *Journal) TruncatedBytes() int64 {
 
 // Abandon closes the journal without the final fsync — the crash-simulation
 // path. Writes already issued remain visible to a reopen on the same machine
-// (they live in the OS), exactly like a process kill; only records a power
-// loss would take are unaccounted for. Idempotent with Close.
+// (they live in the OS), exactly like a process kill. Idempotent with Close.
 func (j *Journal) Abandon() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

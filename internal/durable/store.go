@@ -69,7 +69,3 @@ func (s *Store) Close() error { return s.journal.Close() }
 
 // Abandon closes the journal without syncing — see Journal.Abandon.
 func (s *Store) Abandon() error { return s.journal.Abandon() }
-
-// CrashAbandon drops unsynced journal records and closes without syncing —
-// see Journal.AbandonUnsynced. This is the power-loss-grade crash model.
-func (s *Store) CrashAbandon() error { return s.journal.AbandonUnsynced() }

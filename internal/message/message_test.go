@@ -4,12 +4,24 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"github.com/sies/sies/internal/secretshare"
 	"github.com/sies/sies/internal/uint256"
 )
+
+// wideSources returns the source count 2^shift. Counts of 2^31 and above do
+// not fit a 32-bit int, so on 32-bit builds the calling test stops there,
+// skipped, after every check that precedes the call.
+func wideSources(t testing.TB, shift uint) int {
+	t.Helper()
+	if shift >= strconv.IntSize-1 {
+		t.Skipf("2^%d sources do not fit a %d-bit int", shift, strconv.IntSize)
+	}
+	return 1 << shift
+}
 
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11, 1 << 20: 20}
@@ -33,10 +45,10 @@ func TestNewLayoutValidation(t *testing.T) {
 		t.Fatalf("n=2^30/32-bit: %v", err)
 	}
 	// 64-bit values: pad limited to 32 bits → n up to 2^32.
-	if _, err := New(1<<31, ValueBits64); err != nil {
+	if _, err := New(wideSources(t, 31), ValueBits64); err != nil {
 		t.Fatalf("n=2^31/64-bit: %v", err)
 	}
-	if _, err := New(1<<33, ValueBits64); !errors.Is(err, ErrTooManySources) {
+	if _, err := New(wideSources(t, 33), ValueBits64); !errors.Is(err, ErrTooManySources) {
 		t.Fatal("n=2^33/64-bit accepted")
 	}
 }
@@ -175,14 +187,14 @@ func TestFitsField(t *testing.T) {
 	if !MustNew(1<<20, ValueBits32).FitsField(f) {
 		t.Fatal("32-bit/2^20 layout rejected by default field")
 	}
-	// The extreme 64-bit corner (64+32+160 = 256 bits all used) cannot fit
-	// below 2^256−189.
-	if MustNew(1<<32, ValueBits64).FitsField(f) {
-		t.Fatal("full-width 64-bit layout claimed to fit")
-	}
 	// A modest 64-bit layout fits: 64+2+160 = 226 bits.
 	if !MustNew(4, ValueBits64).FitsField(f) {
 		t.Fatal("small 64-bit layout rejected")
+	}
+	// The extreme 64-bit corner (64+32+160 = 256 bits all used) cannot fit
+	// below 2^256−189.
+	if MustNew(wideSources(t, 32), ValueBits64).FitsField(f) {
+		t.Fatal("full-width 64-bit layout claimed to fit")
 	}
 }
 
@@ -236,12 +248,12 @@ func TestPadWidthCapacity(t *testing.T) {
 	if exact.PadBits() != 10 {
 		t.Fatalf("exact pad = %d", exact.PadBits())
 	}
-	full := MustNew(1<<50, ValueBits32)
+	full := MustNew(wideSources(t, 50), ValueBits32)
 	if full.PadBits() != 50 {
 		t.Fatalf("full pad = %d", full.PadBits())
 	}
 	// With 64-bit values, a 2^32-source deployment exhausts all 256 bits.
-	if l := MustNew(1<<32, ValueBits64); l.TotalBits() != 256 {
+	if l := MustNew(wideSources(t, 32), ValueBits64); l.TotalBits() != 256 {
 		t.Fatalf("total = %d", l.TotalBits())
 	}
 }

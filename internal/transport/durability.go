@@ -436,43 +436,6 @@ func (qn *QuerierNode) commitDurable(res EpochResult, kind uint8) {
 	}
 }
 
-// commitDurableNoSync journals one epoch outcome without waiting for the
-// fsync, returning the journal offset the caller must SyncTo before the
-// result leaves the node — the group-commit half of the pipelined path.
-// Returns 0 when there is nothing left to sync: no state directory, a failed
-// append (counted, durability degraded), or a checkpoint that just folded the
-// record into a durable snapshot. Called under qn.mu.
-func (qn *QuerierNode) commitDurableNoSync(res EpochResult, kind uint8) int64 {
-	st := qn.state
-	if st == nil || qn.crashed {
-		return 0
-	}
-	rec := durable.Record{
-		Type:    recQuerierCommit,
-		Payload: encodeQuerierCommit(res.Epoch, kind, res.Sum, res.Failed),
-	}
-	off, err := st.store.Journal().AppendNoSync(rec)
-	if err != nil {
-		st.ctr.journalErrors.Add(1)
-		return 0
-	}
-	st.ctr.commits.Add(1)
-	st.sinceCheckpoint++
-	if st.sinceCheckpoint >= st.checkpointEvery {
-		if err := st.store.Checkpoint(stateVersion, qn.querierSnapshot()); err != nil {
-			st.ctr.journalErrors.Add(1)
-			return off
-		}
-		st.sinceCheckpoint = 0
-		st.ctr.checkpoints.Add(1)
-		// The snapshot covers this record (its committed.put happened before
-		// the snapshot was taken) and is durably renamed into place: nothing
-		// left for SyncTo to do.
-		return 0
-	}
-	return off
-}
-
 // persistQuarantine journals the registry after a new verdict so confirmed
 // culprits survive a crash that beats the next checkpoint.
 func (qn *QuerierNode) persistQuarantine() {

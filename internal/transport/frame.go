@@ -65,26 +65,13 @@ type Frame struct {
 // ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds maximum size")
 
-// frameHeaderSize is the on-wire overhead per frame: length(u32) + type(u8) +
-// epoch(u64).
-const frameHeaderSize = 4 + 1 + 8
-
 // AppendFrame appends f's wire encoding to dst and returns the extended
-// slice. It is the allocation-free encoding primitive WriteFrame and
-// FrameWriter share.
+// slice. It is the allocation-free encoding primitive behind WriteFrame.
 func AppendFrame(dst []byte, f Frame) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(1+8+len(f.Payload)))
 	dst = append(dst, f.Type)
 	dst = binary.BigEndian.AppendUint64(dst, f.Epoch)
 	return append(dst, f.Payload...)
-}
-
-// putFrameHeader writes the 13-byte header for a frame with plen payload
-// bytes into dst, which must have room.
-func putFrameHeader(dst []byte, t byte, epoch uint64, plen int) {
-	binary.BigEndian.PutUint32(dst[0:4], uint32(1+8+plen))
-	dst[4] = t
-	binary.BigEndian.PutUint64(dst[5:13], epoch)
 }
 
 // frameBufPool recycles encode buffers through encode→write→release so the

@@ -101,96 +101,11 @@ func (c *tornFrameCollector) close(dialed int) (map[uint64]int, int) {
 	return c.seen, c.conns
 }
 
-// retryBatchSink writes batches through chaos-injected connections,
-// re-dialing and re-sending the whole batch on any error — the redialer
-// contract. Receivers may see duplicate frames, never torn ones: each retry
-// starts a fresh connection, so a dead stream's tail is simply abandoned.
-type retryBatchSink struct {
-	dial    func() (net.Conn, error)
-	conn    net.Conn
-	scratch net.Buffers
-	retries int
-	dials   int // successful dials
-}
-
-func (s *retryBatchSink) WriteBatch(segs [][]byte) error {
-	for attempt := 0; attempt < 200; attempt++ {
-		if s.conn == nil {
-			c, err := s.dial()
-			if err != nil {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			s.conn = c
-			s.dials++
-		}
-		// net.Buffers consumes its receiver, so rebuild the view per attempt;
-		// the retained scratch keeps this allocation-free at steady state.
-		s.scratch = append(s.scratch[:0], segs...)
-		if _, err := s.scratch.WriteTo(s.conn); err == nil {
-			return nil
-		}
-		s.retries++
-		s.conn.Close()
-		s.conn = nil
-	}
-	return errors.New("retryBatchSink: giving up")
-}
-
-// TestFrameWriterNoTornFramesUnderChaos drives a FrameWriter through
-// connections that die mid-write (honest short writes delivering a prefix
-// plus an error, and resets between batch segments) and asserts the
-// receiving ReadFrame never observes a torn frame, while retries still
-// deliver every epoch at least once.
-func TestFrameWriterNoTornFramesUnderChaos(t *testing.T) {
-	collector := newTornFrameCollector(t)
-	inj := chaos.New(chaos.Config{
-		Seed:              20260807,
-		ShortWriteErrProb: 0.08,
-		ResetProb:         0.04,
-	})
-	sink := &retryBatchSink{dial: func() (net.Conn, error) {
-		return inj.Dial("tcp", collector.ln.Addr().String())
-	}}
-	fw := NewFrameWriter(FrameWriterConfig{
-		Sink:           sink,
-		MaxBatchBytes:  1 << 10, // small batches: many vectored writes, many fault draws
-		MaxBatchFrames: 16,
-		FlushDelay:     100 * time.Microsecond,
-	})
-	const epochs = 2000
-	for e := uint64(0); e < epochs; e++ {
-		p := chaosPayload(e)
-		if err := fw.EnqueueAppend(TypePSR, e, len(p), func(dst []byte) { copy(dst, p[:]) }); err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.conn != nil {
-		sink.conn.Close()
-	}
-	seen, conns := collector.close(sink.dials)
-	if t.Failed() {
-		return
-	}
-	for e := uint64(0); e < epochs; e++ {
-		if seen[e] == 0 {
-			t.Fatalf("epoch %d never delivered (conns=%d retries=%d)", e, conns, sink.retries)
-		}
-	}
-	if sink.retries == 0 || conns < 2 {
-		t.Fatalf("chaos did not bite: %d retries over %d connections", sink.retries, conns)
-	}
-}
-
-// TestWriteFrameNoTornFramesUnderChaos is the unbatched counterpart: single
-// WriteFrame calls with redial-on-error retry across connections that die
-// mid-write.
+// TestWriteFrameNoTornFramesUnderChaos drives single WriteFrame calls, with
+// redial-on-error retry, across connections that die mid-write (honest short
+// writes delivering a prefix plus an error, and resets) and asserts the
+// receiver never parses a torn frame, while retries still deliver every
+// epoch at least once.
 func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 	collector := newTornFrameCollector(t)
 	inj := chaos.New(chaos.Config{

@@ -194,13 +194,7 @@ func (a *AggregatorNode) flushEpoch(t uint64, w *mergeScratch) error {
 		psr := core.PSR{C: a.field.Reduce512(word)}
 		out = Frame{Type: TypePSR, Epoch: t, Payload: encodeReport(psr, failed)}
 	}
-	var err error
-	if a.upfw != nil {
-		err = a.upfw.Enqueue(out)
-	} else {
-		err = a.upstream.Write(out)
-	}
-	if err != nil {
+	if err := a.upstream.Write(out); err != nil {
 		// Not journaled as committed: after a restart the contributions replay
 		// and the epoch re-flushes — at-least-once delivery, which the
 		// querier's committed window dedups into exactly-once.

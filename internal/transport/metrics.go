@@ -16,14 +16,7 @@ const (
 	mEpochsRecovered = "sies_epochs_recovered_total"
 	mRootReconnects  = "sies_root_reconnects_total"
 	mEvalSeconds     = "sies_epoch_eval_seconds"
-
-	mPipeJobs          = "sies_pipe_jobs_total"
-	mPipeIngestDepth   = "sies_pipe_ingest_depth"
-	mPipeAckBatchSizes = "sies_pipe_ack_batch_frames"
 )
-
-// batchSizeBuckets grades coalesced-batch sizes in frames.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // querierObs is the querier's observability bundle: the registry every
 // subsystem counter is exposed through, the epoch-lifecycle tracer, and the
@@ -42,12 +35,6 @@ type querierObs struct {
 	rootReconnects *obs.Counter
 	fenceRejects   *obs.Counter // uncommitted frames dropped at or below the root fence
 	evalSeconds    *obs.Histogram
-
-	// Pipelined-path stage instrumentation (always registered; flat zeros
-	// when the serial path serves).
-	pipeJobs           *obs.Counter   // frames entering the decode/verify stage
-	pipeIngestDepth    *obs.Gauge     // jobs queued between ingest and workers
-	pipeAckBatchFrames *obs.Histogram // result acks coalesced per vectored write
 }
 
 // newQuerierObs builds the bundle on reg (nil → a private registry).
@@ -67,10 +54,6 @@ func newQuerierObs(reg *obs.Registry, traceCap int) *querierObs {
 		rootReconnects: reg.Counter(mRootReconnects, "times the root aggregator re-attached"),
 		fenceRejects:   reg.Counter("sies_querier_fence_rejects_total", "uncommitted frames dropped at or below the root's fence epoch"),
 		evalSeconds:    reg.Histogram(mEvalSeconds, "per-epoch end-to-end evaluation latency", obs.DurationBuckets),
-
-		pipeJobs:           reg.Counter(mPipeJobs, "frames handed to the pipelined decode/verify stage"),
-		pipeIngestDepth:    reg.Gauge(mPipeIngestDepth, "frames queued between pipeline ingest and workers"),
-		pipeAckBatchFrames: reg.Histogram(mPipeAckBatchSizes, "result acks coalesced per vectored write", batchSizeBuckets),
 	}
 }
 
@@ -121,10 +104,8 @@ func (o *querierObs) bind(qn *QuerierNode) {
 	bindDurability(reg, "sies_durability", func() DurabilityStats { return qn.DurabilityStats() })
 	if qn.state != nil {
 		j := qn.state.store.Journal()
-		reg.CounterFunc("sies_wal_syncs_total", "journal fsyncs issued (inline and group-commit rounds)",
+		reg.CounterFunc("sies_wal_syncs_total", "journal fsyncs issued",
 			func() uint64 { return uint64(j.Stats().Syncs) })
-		reg.CounterFunc("sies_wal_shared_syncs_total", "commits made durable by a group-commit fsync another worker led",
-			func() uint64 { return uint64(j.Stats().SharedSyncs) })
 	}
 
 	reg.GaugeFunc("sies_missed_sources", "sources with at least one missed epoch on record",
@@ -241,23 +222,6 @@ func (o *aggObs) bind(a *AggregatorNode) {
 		func() float64 { return float64(a.table.open.Load()) })
 	o.reg.GaugeFunc("sies_agg_merge_queue_depth", "claimed epochs queued for the merge workers",
 		func() float64 { return float64(len(a.plane.jobs)) })
-	if a.upfw != nil {
-		bindFrameWriter(o.reg, "sies_agg_upstream", a.upfw)
-	}
-}
-
-// bindFrameWriter registers a coalescing writer's counters under prefix.
-func bindFrameWriter(reg *obs.Registry, prefix string, fw *FrameWriter) {
-	reg.CounterFunc(prefix+"_batches_total", "coalesced batches written to the link",
-		func() uint64 { return fw.Stats().Flushes })
-	reg.CounterFunc(prefix+"_frames_total", "frames written through the coalescing writer",
-		func() uint64 { return fw.Stats().Frames })
-	reg.CounterFunc(prefix+"_bytes_total", "encoded bytes written through the coalescing writer",
-		func() uint64 { return fw.Stats().Bytes })
-	reg.CounterFunc(prefix+"_deadline_flushes_total", "batches forced out by the flush deadline",
-		func() uint64 { return fw.Stats().DeadlineFlushes })
-	reg.GaugeFunc(prefix+"_queue_depth", "full batches awaiting the flusher",
-		func() float64 { return float64(fw.Stats().QueueDepth) })
 }
 
 // sourceObs is the source's observability bundle.
@@ -283,7 +247,4 @@ func (o *sourceObs) bind(s *SourceNode) {
 		func() uint64 { return uint64(s.Reconnects()) })
 	o.reg.CounterFunc("sies_source_failovers_total", "escalations to the next candidate parent address",
 		func() uint64 { return uint64(s.Failovers()) })
-	if s.fw != nil {
-		bindFrameWriter(o.reg, "sies_source", s.fw)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -131,12 +130,6 @@ type SourceConfig struct {
 	// Metrics is the registry the node's counters expose through; nil gives
 	// the node a private registry (reachable via Metrics()).
 	Metrics *obs.Registry
-	// Coalesce batches outgoing PSR frames through a FrameWriter over the
-	// redialing link: reports enqueue into a pooled buffer and a short flush
-	// deadline (FrameWriterConfig.FlushDelay) bounds the added latency. Nil
-	// keeps the classic one-write-syscall-per-report path. The config's Sink
-	// is ignored — the redialer is always the sink.
-	Coalesce *FrameWriterConfig
 }
 
 // SourceNode is a leaf sensor process: it encrypts readings and streams the
@@ -145,14 +138,6 @@ type SourceNode struct {
 	src *core.Source
 	rd  *redialer
 	obs *sourceObs
-
-	// Coalescing state (nil fw = unbatched). psrWire + fill let Report hand
-	// the encoded PSR to EnqueueAppend without a per-call closure allocation;
-	// the fill callback runs synchronously inside EnqueueAppend, so the
-	// single-threaded Report contract keeps psrWire safe.
-	fw      *FrameWriter
-	psrWire [core.PSRSize]byte
-	fill    func([]byte)
 }
 
 // DialSource connects a source to its parent aggregator with the default
@@ -194,16 +179,6 @@ func DialSourceWith(cfg SourceConfig, src *core.Source) (*SourceNode, error) {
 		return nil, fmt.Errorf("transport: source %d dialing parent: %w", src.ID(), err)
 	}
 	node := &SourceNode{src: src, rd: rd, obs: newSourceObs(cfg.Metrics)}
-	if cfg.Coalesce != nil {
-		fwCfg := *cfg.Coalesce
-		fwCfg.Sink = redialSink{rd: rd}
-		node.fw = NewFrameWriter(fwCfg)
-		node.fill = func(dst []byte) {
-			copy(dst, node.psrWire[:])
-			// Empty failed-source list: u32 zero count.
-			dst[core.PSRSize], dst[core.PSRSize+1], dst[core.PSRSize+2], dst[core.PSRSize+3] = 0, 0, 0, 0
-		}
-	}
 	node.obs.bind(node)
 	return node, nil
 }
@@ -221,14 +196,6 @@ func (s *SourceNode) Report(t prf.Epoch, v uint64) error {
 	if err != nil {
 		return err
 	}
-	if s.fw != nil {
-		s.psrWire = psr.Bytes()
-		if err := s.fw.EnqueueAppend(TypePSR, uint64(t), core.PSRSize+4, s.fill); err != nil {
-			return err
-		}
-		s.obs.reports.Inc()
-		return nil
-	}
 	if err := s.rd.Write(Frame{Type: TypePSR, Epoch: uint64(t), Payload: encodeReport(psr, nil)}); err != nil {
 		return err
 	}
@@ -245,24 +212,18 @@ func (s *SourceNode) Failovers() int { return s.rd.Failovers() }
 // Metrics returns the node's metrics registry.
 func (s *SourceNode) Metrics() *obs.Registry { return s.obs.reg }
 
-// Leave announces a graceful departure: queued reports are flushed and a
-// leave frame tells the parent to mark this source departed immediately,
-// instead of burning an epoch timeout per remaining epoch waiting for it.
-// Call it from a drain path, before Close. Best-effort: a dead parent link
-// just means the departure is discovered by timeout, as before.
+// Leave announces a graceful departure: a leave frame tells the parent to
+// mark this source departed immediately, instead of burning an epoch timeout
+// per remaining epoch waiting for it. Call it from a drain path, before
+// Close. Best-effort: a dead parent link just means the departure is
+// discovered by timeout, as before.
 func (s *SourceNode) Leave() error {
-	if s.fw != nil {
-		s.fw.Flush()
-	}
 	return s.rd.Write(Frame{Type: TypeLeave, Payload: core.EncodeContributors([]int{s.src.ID()})})
 }
 
-// Close flushes any coalesced frames still queued, then terminates the
-// connection; the parent treats subsequent epochs as failures of this source.
+// Close terminates the connection; the parent treats subsequent epochs as
+// failures of this source.
 func (s *SourceNode) Close() error {
-	if s.fw != nil {
-		s.fw.Close()
-	}
 	return s.rd.Close()
 }
 
@@ -340,7 +301,6 @@ type AggregatorNode struct {
 
 	state *aggState // durable crash-recovery state; nil without a StateDir
 	obs   *aggObs
-	upfw  *FrameWriter // coalescing upstream writer; nil = unbatched
 }
 
 // childState is one child slot. Fields are written only under a.mu's write
@@ -420,18 +380,6 @@ type AggregatorConfig struct {
 	// TraceCapacity sizes the epoch-lifecycle trace ring (default
 	// obs.DefaultTraceCapacity).
 	TraceCapacity int
-	// Coalesce batches upstream PSR/failure frames through a FrameWriter over
-	// the redialing parent link — catch-up bursts (reconnects, recovered
-	// epochs) collapse into vectored writes. The config's Sink is ignored; the
-	// upstream redialer is always the sink. Nil keeps one write per flush.
-	//
-	// The commit record is journaled once the frame is queued rather than once
-	// it reaches the parent's TCP buffer, so a process crash can additionally
-	// lose up to one coalescing window (FlushDelay) of flushed epochs — the
-	// same class of loss as the parent crashing before reading, and bounded by
-	// the same at-least-once recovery: epochs never committed re-flush on
-	// restart from replayed contributions.
-	Coalesce *FrameWriterConfig
 	// Dial and Listen replace net.Dial / net.Listen — chaos injection hooks.
 	Dial   func(network, addr string) (net.Conn, error)
 	Listen func(network, addr string) (net.Listener, error)
@@ -549,11 +497,6 @@ func NewAggregatorNode(cfg AggregatorConfig, field *uint256.Field) (*AggregatorN
 		a.closeAll()
 		return nil, fmt.Errorf("transport: aggregator dialing parent: %w", err)
 	}
-	if cfg.Coalesce != nil {
-		fwCfg := *cfg.Coalesce
-		fwCfg.Sink = redialSink{rd: up}
-		a.upfw = NewFrameWriter(fwCfg)
-	}
 	// Announce the initial children so the querier's contributor view starts
 	// populated (best-effort, like every member event).
 	for _, c := range a.children {
@@ -612,12 +555,6 @@ func (a *AggregatorNode) label() string { return a.ln.Addr().String() }
 // dropped — the view reconciles from later events, and blocking the event
 // loop on observability traffic would stall aggregation.
 func (a *AggregatorNode) sendUpstreamBestEffort(f Frame) {
-	if a.upfw != nil {
-		if a.upfw.Enqueue(f) == nil {
-			a.obs.memberForwards.Inc()
-		}
-		return
-	}
 	c := a.upstream.current()
 	if c == nil {
 		return
@@ -644,9 +581,6 @@ func (a *AggregatorNode) Leave() error {
 	ids := a.helloCovers()
 	if len(ids) == 0 {
 		return nil
-	}
-	if a.upfw != nil {
-		a.upfw.Flush()
 	}
 	return a.upstream.Write(Frame{Type: TypeLeave, Payload: core.EncodeContributors(ids)})
 }
@@ -703,11 +637,6 @@ func (a *AggregatorNode) closeAll() {
 	if a.ln != nil {
 		a.ln.Close()
 	}
-	if a.upfw != nil {
-		// Deliver queued upstream frames before severing the link (a no-op
-		// when Crash already severed it — the flusher's writes fail fast).
-		a.upfw.Close()
-	}
 	if a.upstream != nil {
 		a.upstream.Close()
 	}
@@ -751,15 +680,8 @@ func (a *AggregatorNode) Crash() {
 	if st != nil {
 		// Process-kill grade: issued writes survive in the OS page cache even
 		// though the aggregator journal barely fsyncs (SyncEvery is effectively
-		// off — contributions are recoverable from children's re-sends). The
-		// stricter power-loss truncation lives on the querier, whose group
-		// commit is what actually leaves an unsynced window.
+		// off — contributions are recoverable from children's re-sends).
 		st.store.Abandon()
-	}
-	if a.upfw != nil {
-		// Sever the upstream link first so queued coalesced frames are
-		// dropped (a crashed process delivers nothing), not flushed.
-		a.upstream.Close()
 	}
 	a.closeAll()
 }
@@ -969,16 +891,12 @@ func (a *AggregatorNode) Run() error {
 	readChild := func(child, gen int, conn net.Conn) {
 		defer wg.Done()
 		defer a.forget(conn)
-		// On the batched plane, buffered frame reads drain a coalescing
-		// child's whole batch in one syscall. Nothing downstream retains the
-		// payload — decodeReport and DecodeContributorsBounded copy what they
-		// keep — so the reader's recycled buffer is safe here. The classic
-		// plane keeps unbuffered reads: one syscall per frame, by design.
-		var r io.Reader = conn
-		if a.upfw != nil {
-			r = bufio.NewReader(conn)
-		}
-		fr := NewFrameReader(r)
+		// Buffered: one read drains every frame the socket already holds,
+		// where ReadFrameInto on the bare conn reads each header and body
+		// separately. The hello was read unbuffered before this wrap, so no
+		// byte is stranded. Nothing below retains a payload — the decoders
+		// copy what they keep — so the recycled frame buffer is safe.
+		fr := NewFrameReader(bufio.NewReader(conn))
 		for {
 			if a.idleTimeout > 0 {
 				conn.SetReadDeadline(time.Now().Add(a.idleTimeout))
@@ -1515,12 +1433,6 @@ type QuerierNode struct {
 	state     *querierState // durable crash-recovery state; nil without a StateDir
 	lnClosed  bool
 	crashed   bool
-
-	pipeline *PipelineConfig // non-nil selects the pipelined serve path
-	// forMu serializes forensics mutation (quarantine ticks, localization)
-	// across pipelined workers; the serial path is single-threaded and never
-	// contends on it.
-	forMu sync.Mutex
 }
 
 // QuerierConfig configures NewQuerierNodeConfig.
@@ -1548,12 +1460,6 @@ type QuerierConfig struct {
 	// TraceCapacity sizes the epoch-lifecycle trace ring (default
 	// obs.DefaultTraceCapacity).
 	TraceCapacity int
-	// Pipeline, when non-nil, runs the batched ingest/verify/commit pipeline:
-	// frames decode and verify on worker goroutines while earlier epochs
-	// journal and fsync, commits share group-commit fsyncs, and result acks
-	// coalesce into vectored writes. Results may emit out of epoch order. Nil
-	// keeps the classic serial serve loop.
-	Pipeline *PipelineConfig
 }
 
 // NewQuerierNode starts listening for the root aggregator. Evaluation runs
@@ -1601,11 +1507,6 @@ func NewQuerierNodeConfig(cfg QuerierConfig, q *core.Querier) (*QuerierNode, err
 		return nil, err
 	}
 	qn.ln = ln
-	if cfg.Pipeline != nil {
-		p := *cfg.Pipeline
-		p.applyDefaults()
-		qn.pipeline = &p
-	}
 	qn.obs.bind(qn)
 	return qn, nil
 }
@@ -1644,11 +1545,9 @@ func (qn *QuerierNode) Crash() {
 	root := qn.rootConn
 	qn.mu.Unlock()
 	if st != nil {
-		// Power-loss grade: journal records not yet covered by an fsync are
-		// gone — exactly what the group-commit append-to-fsync window risks.
-		// For the serial path (fsync riding every append) this truncates
-		// nothing beyond what Abandon would lose.
-		st.store.CrashAbandon()
+		// Every commit record was fsynced before its result left the node
+		// (SyncEvery is 1), so abandoning the journal loses no answered epoch.
+		st.store.Abandon()
 	}
 	qn.ln.Close()
 	if root != nil {
@@ -1801,14 +1700,14 @@ func (qn *QuerierNode) serve(conn net.Conn) error {
 		return nil
 	}
 
-	if qn.pipeline != nil {
-		return qn.servePipelined(conn)
-	}
-
 	field := qn.q.Params().Field()
 	ackable := true // stop acking (but keep evaluating) once the root is gone
+	// The root link reads like a child link (see AggregatorNode.Run): the
+	// hello above was read unbuffered, the stream is buffered from here, and
+	// every handler below copies what it keeps out of the recycled payload.
+	fr := NewFrameReader(bufio.NewReader(conn))
 	for {
-		f, err := ReadFrame(conn)
+		f, err := fr.Read()
 		if err != nil {
 			return nil // root closed or crashed: await its redial
 		}
@@ -1904,36 +1803,12 @@ func (qn *QuerierNode) serve(conn net.Conn) error {
 // journal append fsyncs before the result leaves the node, so a committed
 // epoch survives any crash that follows.
 func (qn *QuerierNode) record(res EpochResult) {
-	qn.recordWith(res, false)
-}
-
-// recordWith is record's shared core. With grouped=false (the serial serve
-// loop) the commit fsync rides the journal append. With grouped=true (the
-// pipelined workers) the append happens under qn.mu but the fsync is deferred
-// to a group-commit SyncTo outside the lock, so concurrent epochs share one
-// fsync; the emit still strictly follows durability. The returned ackInfo and
-// flag tell the caller what to acknowledge: grouped callers racing on the
-// same epoch get the stored ack of whoever committed first (the
-// concurrent-duplicate guard — the epoch is emitted exactly once), and a
-// crashed node acknowledges nothing.
-func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool) {
 	qn.mu.Lock()
 	if qn.crashed {
 		// A killed process delivers nothing: committing or emitting here would
 		// leave an answer the restarted node cannot know about.
 		qn.mu.Unlock()
-		return ackInfo{}, false
-	}
-	if grouped {
-		// Two workers can carry the same epoch past the ingest dedup check;
-		// the second one lands here and re-acks instead of double-committing.
-		if ack, ok := qn.committed.get(uint64(res.Epoch)); ok {
-			if qn.state != nil {
-				qn.state.ctr.dedupHits.Add(1)
-			}
-			qn.mu.Unlock()
-			return ack, true
-		}
+		return
 	}
 	if uint64(res.Epoch) > qn.lastEval {
 		qn.lastEval = uint64(res.Epoch)
@@ -1972,35 +1847,12 @@ func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool)
 	// Only definitive outcomes commit. A rejected epoch produced no answer —
 	// it stays retryable, so a later re-send (or a post-restart replay from
 	// the tree) can still serve it.
-	var syncOff int64
 	if kind != kindRejected {
 		qn.committed.put(uint64(res.Epoch), ackInfo{sum: res.Sum, ok: res.Err == nil})
-		if grouped {
-			syncOff = qn.commitDurableNoSync(res, kind)
-		} else {
-			qn.commitDurable(res, kind)
-		}
+		qn.commitDurable(res, kind)
 		qn.obs.tracer.Mark(uint64(res.Epoch), obs.StageCommit)
 	}
 	qn.mu.Unlock()
-	if syncOff > 0 {
-		// Group commit: make the append durable before the result leaves the
-		// node, sharing the fsync with every concurrently committing worker.
-		if err := qn.state.store.Journal().SyncTo(syncOff); err != nil {
-			qn.state.ctr.journalErrors.Add(1)
-			qn.mu.Lock()
-			crashed := qn.crashed
-			qn.mu.Unlock()
-			if crashed {
-				// The crash hook fired inside the append-to-fsync window: the
-				// record is gone from the journal and must not be emitted.
-				return ackInfo{}, false
-			}
-			// A real IO error degrades durability (counted above) but the
-			// verified result still serves, matching the serial path.
-		}
-	}
 	qn.obs.tracer.End(uint64(res.Epoch), outcome)
 	qn.Results <- res
-	return ackInfo{sum: res.Sum, ok: res.Err == nil}, true
 }

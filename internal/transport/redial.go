@@ -53,8 +53,6 @@ type redialer struct {
 	failovers int // escalations to the next candidate parent
 	closed    bool
 	closeCh   chan struct{}
-
-	scratch net.Buffers // writeBuffers' reusable vectored-write view
 }
 
 // newRedialer assembles a redialer over a ranked, non-empty address list; the
@@ -213,11 +211,11 @@ func (r *redialer) Failovers() int {
 	return r.failovers
 }
 
-// retrySend redials with backoff until send succeeds on a fresh connection,
+// retrySend redials with backoff until f is written to a fresh connection,
 // escalating through the candidate parent list as per-address budgets
-// exhaust. maxEpoch is the highest data epoch in the payload, recorded
+// exhaust. maxEpoch is f's data epoch (0 for control frames), recorded
 // against whichever address is about to be written to.
-func (r *redialer) retrySend(send func(net.Conn) error, maxEpoch uint64) error {
+func (r *redialer) retrySend(f Frame, maxEpoch uint64) error {
 	addrStart := time.Now()
 	addrAttempts := 0
 	tried := 1 // addresses whose budget this sweep has started spending
@@ -231,7 +229,7 @@ func (r *redialer) retrySend(send func(net.Conn) error, maxEpoch uint64) error {
 		c, err := r.Connect()
 		if err == nil {
 			r.noteEpoch(maxEpoch)
-			if err = send(c); err == nil {
+			if err = WriteFrame(c, f); err == nil {
 				return nil
 			}
 			r.markDead(c)
@@ -276,76 +274,8 @@ func (r *redialer) Write(f Frame) error {
 		}
 		r.markDead(c)
 	}
-	return r.retrySend(func(c net.Conn) error { return WriteFrame(c, f) }, maxEpoch)
+	return r.retrySend(f, maxEpoch)
 }
-
-// writeBuffers sends a coalesced batch of pre-encoded frames as one vectored
-// write, redialing with backoff exactly like Write. On any failure the whole
-// batch is re-sent on a fresh connection — receivers may see duplicate frames
-// (the committed-epoch window dedups them) but never torn ones, since a dead
-// stream's tail is discarded at the receiver's next read error. A batch
-// replayed onto a *different* parent is dropped there wholesale by the fence,
-// which maxBatchEpoch keeps covering the batch's newest epoch.
-//
-// Called only from a FrameWriter's flusher goroutine, so the scratch view is
-// effectively single-threaded and retained across calls for zero steady-state
-// allocation.
-func (r *redialer) writeBuffers(segs [][]byte) error {
-	var maxEpoch uint64
-	if len(r.dials) > 1 {
-		// The header walk only feeds the re-parenting fence; a single-parent
-		// redialer never fences, so skip it on the hot batch path.
-		maxEpoch = maxBatchEpoch(segs)
-	}
-	if c := r.current(); c != nil {
-		r.noteEpoch(maxEpoch)
-		// net.Buffers consumes its receiver, so rebuild the view per attempt.
-		r.scratch = append(r.scratch[:0], segs...)
-		if _, err := r.scratch.WriteTo(c); err == nil {
-			return nil
-		}
-		r.markDead(c)
-	}
-	return r.retrySend(func(c net.Conn) error {
-		r.scratch = append(r.scratch[:0], segs...)
-		_, err := r.scratch.WriteTo(c)
-		return err
-	}, maxEpoch)
-}
-
-// maxBatchEpoch scans a coalesced batch for its highest data epoch. Batch
-// segments jointly hold whole frames (FrameWriter's invariant), so walking
-// the length prefixes within each segment visits every header.
-func maxBatchEpoch(segs [][]byte) uint64 {
-	var max uint64
-	for _, seg := range segs {
-		for off := 0; off+frameHeaderSize <= len(seg); {
-			n := int(beU32(seg[off:]))
-			typ := seg[off+4]
-			if typ == TypePSR || typ == TypeFailure {
-				if e := beU64(seg[off+5:]); e > max {
-					max = e
-				}
-			}
-			off += 4 + n
-		}
-	}
-	return max
-}
-
-// beU32 / beU64 are tiny local big-endian readers for header scanning.
-func beU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func beU64(b []byte) uint64 {
-	return uint64(beU32(b))<<32 | uint64(beU32(b[4:]))
-}
-
-// redialSink adapts a redialer into a FrameWriter batch sink.
-type redialSink struct{ rd *redialer }
-
-func (s redialSink) WriteBatch(segs [][]byte) error { return s.rd.writeBuffers(segs) }
 
 // Close tears the connection down and aborts in-flight retries.
 func (r *redialer) Close() error {

@@ -27,7 +27,6 @@ type restartSoakReport struct {
 	Crashes          int             `json:"crashes"`
 	QuerierCrashes   int             `json:"querier_crashes"`
 	AggCrashes       int             `json:"aggregator_crashes"`
-	SyncWindowKills  int             `json:"sync_window_kills"`
 	Served           int             `json:"served"`
 	Lost             int             `json:"lost"`
 	Full             int             `json:"full"`
@@ -93,10 +92,6 @@ type restartCluster struct {
 	qnRun  chan error
 	agg    *AggregatorNode
 	aggRun chan error
-
-	// Armed sync-window kill, driver-goroutine only (see armSyncWindowKill).
-	armedKill *QuerierNode
-	armedRun  chan error
 }
 
 func (c *restartCluster) startQuerier() error {
@@ -160,90 +155,6 @@ func (c *restartCluster) Restart(role chaos.CrashRole, id int) error {
 	return c.startAggregator()
 }
 
-// armSyncWindowKill installs a one-shot crash in the current querier
-// generation's beforeSync hook — after a group-commit batch appended, before
-// the shared fsync made it durable. That is the one window batching opens
-// that the serial path never had; the kill proves the truncation-on-recovery
-// story by landing exactly there. The driver keeps pumping epochs (commits
-// must flow for the hook to fire) and reaps the crash on later iterations.
-// Returns false without arming when the querier or aggregator is already
-// down, or a previous armed kill is still pending.
-func (c *restartCluster) armSyncWindowKill() bool {
-	c.mu.Lock()
-	qn, run, agg := c.qn, c.qnRun, c.agg
-	c.mu.Unlock()
-	if c.armedKill != nil || agg == nil || agg.isCrashed() {
-		return false
-	}
-	qn.mu.Lock()
-	dead := qn.crashed
-	qn.mu.Unlock()
-	if dead {
-		return false
-	}
-	var once sync.Once
-	qn.state.store.Journal().SetBeforeSync(func() { once.Do(qn.Crash) })
-	c.armedKill, c.armedRun = qn, run
-	return true
-}
-
-// reapSyncWindowKill restarts the querier once an armed sync-window kill has
-// landed. Returns true when this call delivered the restart; if the plan's
-// own kill/restart cycled the generation first, the pending arm is dropped.
-func (c *restartCluster) reapSyncWindowKill() (bool, error) {
-	if c.armedKill == nil {
-		return false, nil
-	}
-	c.mu.Lock()
-	cur := c.qn
-	c.mu.Unlock()
-	if cur != c.armedKill {
-		c.armedKill, c.armedRun = nil, nil // the plan cycled this generation
-		return false, nil
-	}
-	select {
-	case <-c.armedRun:
-	default:
-		return false, nil // not crashed yet; keep pumping epochs
-	}
-	c.armedKill, c.armedRun = nil, nil
-	return true, c.startQuerier()
-}
-
-// settleSyncWindowKill resolves a still-armed kill before shutdown: wait for
-// in-flight commits to trip it, and if none do, disarm so the graceful drain
-// runs against a live querier. A leader that read the hook just before the
-// disarm fires within its SyncTo call, so a short grace plus a crashed
-// re-check closes that window.
-func (c *restartCluster) settleSyncWindowKill() (bool, error) {
-	if c.armedKill == nil {
-		return false, nil
-	}
-	qn, run := c.armedKill, c.armedRun
-	c.armedKill, c.armedRun = nil, nil
-	c.mu.Lock()
-	cur := c.qn
-	c.mu.Unlock()
-	if cur != qn {
-		return false, nil
-	}
-	select {
-	case <-run:
-		return true, c.startQuerier()
-	case <-time.After(5 * time.Second):
-	}
-	qn.state.store.Journal().SetBeforeSync(nil)
-	time.Sleep(300 * time.Millisecond)
-	qn.mu.Lock()
-	dead := qn.crashed
-	qn.mu.Unlock()
-	if dead { // the hook fired as we disarmed
-		awaitRun(c.t, run, "querier")
-		return true, c.startQuerier()
-	}
-	return false, nil
-}
-
 // metricsHandler serves the CURRENT querier generation's observability
 // endpoints — exactly what a scraper pointed at a restarting process sees:
 // each restart brings fresh counters that the durable snapshot re-fills.
@@ -263,17 +174,7 @@ func (c *restartCluster) metricsHandler() http.Handler {
 // ever answered twice, and nothing is rejected. Crashes are transport
 // Crash() calls — no graceful flush, no final fsync — and every restart
 // rebuilds the process from its state directory alone.
-func TestRestartChaosSoak(t *testing.T) { runRestartChaosSoak(t, false) }
-
-// TestRestartChaosSoakPipelined runs the same seeded crash plan over the
-// batched I/O plane: coalescing sources, a coalescing root aggregator and the
-// pipelined querier. On top of the plan's kills it aims extra querier crashes
-// into the group-commit append-to-fsync window (killInSyncWindow), the only
-// new durability exposure batching introduces, and holds the soak to the same
-// exactly-once verdict: no wrong SUM, no epoch answered twice.
-func TestRestartChaosSoakPipelined(t *testing.T) { runRestartChaosSoak(t, true) }
-
-func runRestartChaosSoak(t *testing.T, pipelined bool) {
+func TestRestartChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restart soak is long; skipped with -short")
 	}
@@ -317,10 +218,6 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 		},
 		results: make(chan EpochResult, 2*epochs+64),
 	}
-	if pipelined {
-		c.qCfg.Pipeline = &PipelineConfig{Workers: 4}
-		c.aCfg.Coalesce = &FrameWriterConfig{}
-	}
 
 	if err := c.startQuerier(); err != nil {
 		t.Fatal(err)
@@ -358,11 +255,7 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 
 	srcs := make([]*SourceNode, nSources)
 	for i, s := range sources {
-		scfg := SourceConfig{ParentAddr: aggAddr, Backoff: backoff}
-		if pipelined {
-			scfg.Coalesce = &FrameWriterConfig{}
-		}
-		srcs[i], err = DialSourceWith(scfg, s)
+		srcs[i], err = DialSourceWith(SourceConfig{ParentAddr: aggAddr, Backoff: backoff}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,10 +284,7 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 
 	// Drive: queue the epoch to every reporter BEFORE applying the plan, so a
 	// restarting aggregator always has sources knocking, then crash/restart
-	// per the plan. Kills land with the epoch's reports still in flight. The
-	// pipelined soak additionally aims a querier kill into the group-commit
-	// append-to-fsync window every 40 epochs.
-	windowKills := 0
+	// per the plan. Kills land with the epoch's reports still in flight.
 	for e := prf.Epoch(1); e <= epochs; e++ {
 		for i := range epochCh {
 			epochCh[i] <- e
@@ -402,34 +292,12 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 		if err := plan.Apply(e, c); err != nil {
 			t.Fatal(err)
 		}
-		if pipelined {
-			killed, err := c.reapSyncWindowKill()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if killed {
-				windowKills++
-			}
-			if e%40 == 17 {
-				c.armSyncWindowKill()
-			}
-		}
 		time.Sleep(pace)
 	}
-	// Fire any trailing restart whose down window crosses the horizon, and
-	// settle the last armed sync-window kill so shutdown sees a live querier.
+	// Fire any trailing restart whose down window crosses the horizon.
 	for e := prf.Epoch(epochs + 1); e <= epochs+3; e++ {
 		if err := plan.Apply(e, c); err != nil {
 			t.Fatal(err)
-		}
-	}
-	if pipelined {
-		killed, err := c.settleSyncWindowKill()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if killed {
-			windowKills++
 		}
 	}
 
@@ -522,9 +390,9 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 	// replayed counter may trail the channel by at most one per querier kill;
 	// it must never exceed it.
 	if got := metrics["sies_epochs_served_total"]; got > float64(full+partial) ||
-		got < float64(full+partial-qCrashes-windowKills) {
+		got < float64(full+partial-qCrashes) {
 		t.Errorf("scraped sies_epochs_served_total = %v, results channel saw %d (%d querier kills)",
-			got, full+partial, qCrashes+windowKills)
+			got, full+partial, qCrashes)
 	}
 	if got := metrics["sies_epochs_empty_total"]; got != float64(empty) {
 		t.Errorf("scraped sies_epochs_empty_total = %v, results channel saw %d", got, empty)
@@ -532,22 +400,14 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 	if got := metrics["sies_durability_enabled"]; got != 1 {
 		t.Errorf("scraped sies_durability_enabled = %v, want 1", got)
 	}
-	t.Logf("served %d/%d (full %d, partial %d, empty %d, lost %d), %d sync-window kills, dedup hits %d, querier replay %d recs, agg replay %d recs",
+	t.Logf("served %d/%d (full %d, partial %d, empty %d, lost %d), dedup hits %d, querier replay %d recs, agg replay %d recs",
 		served, epochs, full, partial, empty, lost,
-		windowKills, qStats.DedupHits, qStats.ReplayedRecords, aggStats.ReplayedRecords)
-	if pipelined && windowKills < 3 {
-		t.Errorf("only %d sync-window kills landed, want >= 3 (commits not flowing?)", windowKills)
-	}
+		qStats.DedupHits, qStats.ReplayedRecords, aggStats.ReplayedRecords)
 
-	name := "restart-chaos-soak"
-	if pipelined {
-		name = "restart-chaos-soak-pipelined"
-	}
 	writeRestartStats(t, restartSoakReport{
-		Name: name, Seed: seed, Epochs: epochs,
+		Name: "restart-chaos-soak", Seed: seed, Epochs: epochs,
 		Crashes: plan.Crashes(), QuerierCrashes: qCrashes, AggCrashes: aCrashes,
-		SyncWindowKills: windowKills,
-		Served:          served, Lost: lost, Full: full, Partial: partial, Empty: empty,
+		Served: served, Lost: lost, Full: full, Partial: partial, Empty: empty,
 		WrongAnswers: wrong, DuplicateCommits: dup,
 		Querier: qStats, Aggregator: aggStats,
 	})

@@ -3,13 +3,16 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/sies/sies/internal/core"
 	"github.com/sies/sies/internal/prf"
+	"github.com/sies/sies/internal/race"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -59,6 +62,180 @@ func TestFrameShortHeader(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{0, 0, 0, 2, 1, 1})
 	if _, err := ReadFrame(buf); err == nil {
 		t.Fatal("undersized frame accepted")
+	}
+}
+
+// TestWriteFramePooledZeroAlloc gates the send side: WriteFrame's encode
+// buffer comes from a pool.
+func TestWriteFramePooledZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inhibits stack allocation; gate runs in the non-race suite")
+	}
+	payload := bytes.Repeat([]byte{0x5A}, 36+4)
+	f := Frame{Type: TypePSR, Epoch: 42, Payload: payload}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := WriteFrame(io.Discard, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteFrame allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFrameReaderReuseZeroAlloc gates the receive side: FrameReader recycles
+// its buffer across frames.
+func TestFrameReaderReuseZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inhibits stack allocation; gate runs in the non-race suite")
+	}
+	var stream bytes.Buffer
+	f := Frame{Type: TypePSR, Epoch: 7, Payload: bytes.Repeat([]byte{1}, 36+4)}
+	for i := 0; i < 4000; i++ {
+		if err := WriteFrame(&stream, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&stream)
+	if _, err := fr.Read(); err != nil { // warm the buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := fr.Read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FrameReader.Read allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFrameReaderRejectsBeforeAlloc: a hostile length prefix above the
+// configured max is rejected without the reader growing its buffer.
+func TestFrameReaderRejectsBeforeAlloc(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, Frame{Type: TypePSR, Epoch: 1, Payload: bytes.Repeat([]byte{1}, 1<<12)}); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&stream)
+	fr.MaxPayload = 64
+	if _, err := fr.Read(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame accepted: %v", err)
+	}
+	if cap(fr.buf) > 1024 {
+		t.Fatalf("reader allocated %d bytes for a rejected frame", cap(fr.buf))
+	}
+}
+
+// readCountingConn counts Read calls on an accepted child connection.
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+type readCountingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l readCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return readCountingConn{c, l.reads}, nil
+}
+
+// TestAggregatorChildReadsBuffered streams K back-to-back PSR frames over one
+// child link and counts the aggregator's Read calls on it: a buffered reader
+// makes at most one per frame plus the read left blocking for the next one,
+// where reading each frame's header and body straight off the socket makes
+// two per frame.
+func TestAggregatorChildReadsBuffered(t *testing.T) {
+	const k = 64
+	q, sources, err := core.Setup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parentLn.Close()
+	aggLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	type built struct {
+		node *AggregatorNode
+		err  error
+	}
+	builtCh := make(chan built, 1)
+	go func() {
+		node, err := NewAggregatorNode(AggregatorConfig{
+			ListenAddr: aggLn.Addr().String(), ParentAddr: parentLn.Addr().String(), NumChildren: 1,
+			Listen: func(string, string) (net.Listener, error) {
+				return readCountingListener{aggLn, &reads}, nil
+			},
+		}, q.Params().Field())
+		builtCh <- built{node, err}
+	}()
+	child, _ := dialChild(t, aggLn.Addr().String(), []int{0})
+	defer child.Close()
+	parent, err := parentLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	if hello := readUpstream(t, parent); hello.Type != TypeHello {
+		t.Fatalf("expected upstream hello, got type %d", hello.Type)
+	}
+	if err := WriteFrame(parent, Frame{Type: TypeHello}); err != nil {
+		t.Fatal(err)
+	}
+	b := <-builtCh
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	defer b.node.Close()
+
+	// All K frames go out in one write before the reader starts, so they sit
+	// back to back in the socket.
+	var stream []byte
+	for e := uint64(1); e <= k; e++ {
+		psr, err := sources[0].Encrypt(prf.Epoch(e), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = AppendFrame(stream, Frame{Type: TypePSR, Epoch: e, Payload: encodeReport(psr, nil)})
+	}
+	if _, err := child.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	handshake := reads.Load()
+	runDone := make(chan error, 1)
+	go func() { runDone <- b.node.Run() }()
+	// Merge workers may flush out of epoch order.
+	flushed := map[uint64]bool{}
+	for len(flushed) < k {
+		f := readUpstream(t, parent)
+		if f.Type != TypePSR || f.Epoch < 1 || f.Epoch > k || flushed[f.Epoch] {
+			t.Fatalf("unexpected flush: type %d epoch %d", f.Type, f.Epoch)
+		}
+		flushed[f.Epoch] = true
+	}
+	if got := reads.Load() - handshake; got > k+1 {
+		t.Fatalf("%d Read calls for %d frames, want at most %d", got, k, k+1)
+	}
+	b.node.Close()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
 	}
 }
 
