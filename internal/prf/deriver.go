@@ -11,25 +11,32 @@ import (
 // This file is the reusable HMAC derivation API. A long-term key's HMAC pads
 // never change, so the key schedule — hashing key⊕ipad and key⊕opad — is paid
 // once per key, and every per-epoch derivation afterwards is allocation-free.
-// Two engines implement it, and CPUID alone picks one for the process:
+// Three engines implement it, and CPUID alone picks them for the process:
 //
 //   - the SHA-NI engine (keypads.go and the amd64 assembly) keeps each key's
 //     four chaining values in 104 pointer-free, immutable bytes and derives
 //     HM256 and HM1 as two single-block compressions each, the inner ones
 //     over an epoch's message schedules expanded once for every key;
+//   - the vector engine (vecsweep.go, hmac16_amd64.s) runs the querier's
+//     sweep over the same pads sixteen keys at a time in AVX-512, where the
+//     CPU and the OS support it; single-key derivation stays on SHA-NI;
 //   - the stdlib engine (stdpads.go) restores marshaled crypto/sha256 and
 //     crypto/sha1 states under a per-key mutex, on every other CPU.
 //
-// Both are bit-identical to crypto/hmac.
+// All three are bit-identical to crypto/hmac.
 
 // hmacBlockSize is the input block size shared by SHA-1 and SHA-256 (64
 // bytes), over which the HMAC pads are formed.
 const hmacBlockSize = 64
 
-// Engine names the derivation engine this process runs: "sha-ni" or
+// Engine names the derivation engines this process runs: "sha-ni+avx512"
+// (single keys on SHA-NI, the querier's sweep in AVX-512), "sha-ni" or
 // "stdlib".
 func Engine() string {
-	if haveSHANI {
+	switch {
+	case haveAVX512:
+		return "sha-ni+avx512"
+	case haveSHANI:
 		return "sha-ni"
 	}
 	return "stdlib"
@@ -77,9 +84,9 @@ func (d *Deriver) Epoch1(t Epoch) (out [Size1]byte) {
 // RingDerivers is the querier-side derivation engine: the pads of every key
 // of a KeyRing, built once so every epoch's Θ(N) fan-out skips the HMAC key
 // schedules entirely. On SHA-NI CPUs the source pads are one flat,
-// pointer-free slice. Distinct sources are independent, so the schedule
-// engine's workers derive disjoint id chunks concurrently with no
-// contention.
+// pointer-free slice, which the vector engine gathers from directly.
+// Distinct sources are independent, so the schedule engine's workers derive
+// disjoint id chunks concurrently with no contention.
 type RingDerivers struct {
 	global *Deriver
 	pads   []keyPads  // SHA-NI engine, indexed by source id
@@ -121,9 +128,13 @@ func (rd *RingDerivers) GlobalKey(t Epoch) [Size256]byte {
 // ss_{i,t} = HM1(k_i, t) to ss, where t is blk's epoch, without allocating.
 // An id outside [0, N) or a share sum that overflows 256 bits aborts the
 // sweep and leaves k and ss partly summed. Calls may run concurrently over
-// any ids and one shared blk, each with its own k and ss.
+// any ids and one shared blk, each with its own k and ss. On the vector
+// engine, chunks of a multiple of SweepLanes ids keep every lane busy.
 func (rd *RingDerivers) SumRange(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
-	if haveSHANI {
+	switch {
+	case vecSweep(len(rd.pads)):
+		return sumRangeVec(rd.pads, blk, ids, k, ss)
+	case haveSHANI:
 		return sumRange(rd.pads, blk, ids, k, ss)
 	}
 	return sumRangeStd(rd.std, blk.t, ids, k, ss)

@@ -28,12 +28,13 @@ type sweepFunc func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint
 
 type namedEngine struct {
 	name  string
-	new   func(key []byte) engine
+	skip  string                  // why this CPU cannot run the engine; "" when it can
+	new   func(key []byte) engine // nil for the vector engine, which has no single-key path
 	sweep func(keys [][]byte) sweepFunc
 }
 
 var engines = []namedEngine{
-	{"stdlib", func(key []byte) engine { return newStdPads(key) }, func(keys [][]byte) sweepFunc {
+	{"stdlib", "", func(key []byte) engine { return newStdPads(key) }, func(keys [][]byte) sweepFunc {
 		std := make([]*stdPads, len(keys))
 		for i, key := range keys {
 			std[i] = newStdPads(key)
@@ -42,33 +43,64 @@ var engines = []namedEngine{
 			return sumRangeStd(std, blk.t, ids, k, ss)
 		}
 	}},
-	{"sha-ni", func(key []byte) engine { p := newKeyPads(key); return &p }, func(keys [][]byte) sweepFunc {
-		pads := make([]keyPads, len(keys))
-		for i, key := range keys {
-			pads[i] = newKeyPads(key)
-		}
+	{"sha-ni", skipUnless(haveSHANI, noSHANI), func(key []byte) engine { p := newKeyPads(key); return &p }, func(keys [][]byte) sweepFunc {
+		pads := testPads(keys)
 		return func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
 			return sumRange(pads, blk, ids, k, ss)
 		}
 	}},
+	{"avx512", skipUnless(haveAVX512, noAVX512), nil, func(keys [][]byte) sweepFunc {
+		pads := testPads(keys)
+		return func(blk *InnerBlock, ids []int, k *uint256.Accumulator, ss *uint256.Int) error {
+			return sumRangeVec(pads, blk, ids, k, ss)
+		}
+	}},
 }
 
-// forEachEngine runs f as one subtest per engine, skipping the SHA-NI engine
-// when CPUID lacks it.
+const (
+	noSHANI  = "CPUID reports no SHA-NI"
+	noAVX512 = "CPUID or XGETBV reports no AVX-512F with the opmask and ZMM state"
+)
+
+func skipUnless(have bool, why string) string {
+	if have {
+		return ""
+	}
+	return why
+}
+
+func testPads(keys [][]byte) []keyPads {
+	pads := make([]keyPads, len(keys))
+	for i, key := range keys {
+		pads[i] = newKeyPads(key)
+	}
+	return pads
+}
+
+// forEachEngine runs f as one subtest per single-key engine, skipping an
+// engine this CPU cannot run.
 func forEachEngine(t *testing.T, f func(t *testing.T, newEngine func(key []byte) engine)) {
-	forEachSweep(t, func(t *testing.T, e namedEngine) { f(t, e.new) })
+	for _, e := range engines {
+		if e.new != nil {
+			runEngine(t, e, func(t *testing.T, e namedEngine) { f(t, e.new) })
+		}
+	}
 }
 
-// forEachSweep is forEachEngine for tests that also need an engine's sweep.
+// forEachSweep runs f as one subtest per engine's sweep.
 func forEachSweep(t *testing.T, f func(t *testing.T, e namedEngine)) {
 	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			if e.name == "sha-ni" && !haveSHANI {
-				t.Skip("CPUID reports no SHA-NI")
-			}
-			f(t, e)
-		})
+		runEngine(t, e, f)
 	}
+}
+
+func runEngine(t *testing.T, e namedEngine, f func(t *testing.T, e namedEngine)) {
+	t.Run(e.name, func(t *testing.T) {
+		if e.skip != "" {
+			t.Skip(e.skip)
+		}
+		f(t, e)
+	})
 }
 
 // deriverTestKeys covers the HMAC key regimes: empty, short (the deployed
@@ -136,7 +168,7 @@ func FuzzDeriver(f *testing.F) {
 		te := Epoch(epoch)
 		want256, want1 := HM256Epoch(key, te), HM1Epoch(key, te)
 		for _, ne := range engines {
-			if ne.name == "sha-ni" && !haveSHANI {
+			if ne.skip != "" || ne.new == nil {
 				continue
 			}
 			e := ne.new(key)
@@ -167,7 +199,7 @@ func padMessage(msg []byte) []byte {
 
 func TestBlock256MatchesSHA256(t *testing.T) {
 	if !haveSHANI {
-		t.Skip("CPUID reports no SHA-NI")
+		t.Skip(noSHANI)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
@@ -191,7 +223,7 @@ func TestBlock256MatchesSHA256(t *testing.T) {
 
 func TestBlock1MatchesSHA1(t *testing.T) {
 	if !haveSHANI {
-		t.Skip("CPUID reports no SHA-NI")
+		t.Skip(noSHANI)
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -380,7 +412,7 @@ func FuzzSumRange(f *testing.F) {
 		}
 		keys := [][]byte{key, rev, key[:len(key)/2]}
 		for _, e := range engines {
-			if e.name == "sha-ni" && !haveSHANI {
+			if e.skip != "" {
 				continue
 			}
 			checkSweep(t, e.sweep(keys), keys, Epoch(epoch), []int{0, 1, 2})
@@ -393,7 +425,7 @@ func FuzzSumRange(f *testing.F) {
 // blocks.
 func TestRounds256MatchesBlock256(t *testing.T) {
 	if !haveSHANI {
-		t.Skip("CPUID reports no SHA-NI")
+		t.Skip(noSHANI)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 500; i++ {
@@ -418,7 +450,7 @@ func TestRounds256MatchesBlock256(t *testing.T) {
 // TestRounds1MatchesBlock1 is TestRounds256MatchesBlock256 for SHA-1.
 func TestRounds1MatchesBlock1(t *testing.T) {
 	if !haveSHANI {
-		t.Skip("CPUID reports no SHA-NI")
+		t.Skip(noSHANI)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {

@@ -20,7 +20,31 @@ func detectSHANI() bool {
 	return ecx1&ssse3 != 0 && ecx1&sse41 != 0 && ebx7&sha != 0
 }
 
+// haveAVX512 reports whether SumRange runs the vector engine: the SHA-NI
+// engine's pads plus AVX-512F, with XGETBV showing that the OS saves the
+// opmask registers and all 32 ZMM registers across context switches.
+var haveAVX512 = haveSHANI && detectAVX512()
+
+func detectAVX512() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
+	const (
+		osxsave = 1 << 27 // leaf 1, ECX: XGETBV is enabled
+		avx512f = 1 << 16 // leaf 7, EBX
+		// XCR0: SSE, AVX, opmask, ZMM0–15 upper halves, ZMM16–31.
+		zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	)
+	if ecx1&osxsave == 0 || ebx7&avx512f == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&zmmState == zmmState
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns XCR0, the state components the OS saves.
+func xgetbv() (eax, edx uint32)
 
 // block256 runs the SHA-256 compression function over one block, updating
 // the chaining value h in place.
@@ -46,3 +70,11 @@ func rounds256(h *[8]uint32, w *[64]uint32)
 //
 //go:noescape
 func rounds1(h *[5]uint32, w *[80]uint32)
+
+// hmac16 derives HM256 and HM1 of blk's epoch for sixteen keys at once, one
+// per 32-bit lane: lane l reads the pads idx[l] 32-bit words past pads, and
+// writes digest word j to out[j][l], HM256's eight words first, then HM1's
+// five. Every index must address a pad of the slice pads points into.
+//
+//go:noescape
+func hmac16(pads *keyPads, blk *InnerBlock, idx *[SweepLanes]int32, out *[13][SweepLanes]uint32)

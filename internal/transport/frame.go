@@ -176,6 +176,19 @@ func (fr *FrameReader) Read() (Frame, error) {
 	return f, err
 }
 
+// drainFrames reads and discards frames from r until a read fails, and
+// returns that error. It serves links whose peer sends only frames the node
+// does not act on, such as the parent's result acks; the frames share one
+// FrameReader buffer, so a drain allocates once, not once per frame.
+func drainFrames(r io.Reader) error {
+	fr := NewFrameReader(r)
+	for {
+		if _, err := fr.Read(); err != nil {
+			return err
+		}
+	}
+}
+
 // EncodeResult builds a result payload.
 func EncodeResult(sum uint64, ok bool) []byte {
 	out := make([]byte, 9)

@@ -166,12 +166,8 @@ func DialSourceWith(cfg SourceConfig, src *core.Source) (*SourceNode, error) {
 		// to notice the link dying while the source is between reports, so
 		// the next Report redials instead of writing into a dead socket.
 		go func() {
-			for {
-				if _, err := ReadFrame(c); err != nil {
-					rd.markDead(c)
-					return
-				}
-			}
+			drainFrames(c)
+			rd.markDead(c)
 		}()
 	}
 	if _, err := rd.Connect(); err != nil {
@@ -485,12 +481,8 @@ func NewAggregatorNode(cfg AggregatorConfig, field *uint256.Field) (*AggregatorN
 		// frame before the parent reads it. Marking the connection dead on
 		// read failure makes the next flush redial promptly.
 		go func() {
-			for {
-				if _, err := ReadFrame(c); err != nil {
-					up.markDead(c)
-					return
-				}
-			}
+			drainFrames(c)
+			up.markDead(c)
 		}()
 	}
 	if _, err := up.Connect(); err != nil {
@@ -877,6 +869,10 @@ func (a *AggregatorNode) tryIngest(rep *report, locked bool) ingestOutcome {
 	return out
 }
 
+// childReadBuffer sizes each child link's read buffer: about ten PSR frames,
+// where bufio's 4 KiB default held some eighty on every link.
+const childReadBuffer = 512
+
 // Run merges epochs until the node is closed or every child disconnects and
 // stays away for ReconnectWindow (AcceptNew nodes wait indefinitely — a
 // standby with no children yet is healthy, not done). For each epoch it waits
@@ -893,10 +889,12 @@ func (a *AggregatorNode) Run() error {
 		defer a.forget(conn)
 		// Buffered: one read drains every frame the socket already holds,
 		// where ReadFrameInto on the bare conn reads each header and body
-		// separately. The hello was read unbuffered before this wrap, so no
+		// separately. A PSR frame is about 50 B, so childReadBuffer holds
+		// several; bufio reads a larger frame body straight into the frame
+		// buffer. The hello was read unbuffered before this wrap, so no
 		// byte is stranded. Nothing below retains a payload — the decoders
 		// copy what they keep — so the recycled frame buffer is safe.
-		fr := NewFrameReader(bufio.NewReader(conn))
+		fr := NewFrameReader(bufio.NewReaderSize(conn, childReadBuffer))
 		for {
 			if a.idleTimeout > 0 {
 				conn.SetReadDeadline(time.Now().Add(a.idleTimeout))

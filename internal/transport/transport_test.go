@@ -151,14 +151,71 @@ func (l readCountingListener) Accept() (net.Conn, error) {
 	return readCountingConn{c, l.reads}, nil
 }
 
-// TestAggregatorChildReadsBuffered streams K back-to-back PSR frames over one
+// TestAggregatorChildReadsBuffered streams K back-to-back frames over one
 // child link and counts the aggregator's Read calls on it: a buffered reader
 // makes at most one per frame plus the read left blocking for the next one,
 // where reading each frame's header and body straight off the socket makes
-// two per frame.
+// two per frame. The second stream puts a failure frame naming 1000 ids,
+// several times the child link's read buffer, between the PSR frames: it
+// must still arrive whole.
 func TestAggregatorChildReadsBuffered(t *testing.T) {
 	const k = 64
-	q, sources, err := core.Setup(1)
+	_, sources, err := core.Setup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrFrame := func(e uint64) Frame {
+		psr, err := sources[0].Encrypt(prf.Epoch(e), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Frame{Type: TypePSR, Epoch: e, Payload: encodeReport(psr, nil)}
+	}
+	wide := make([]int, 1000)
+	for i := range wide {
+		wide[i] = i
+	}
+	const failEpoch = k / 2
+	t.Run("psr", func(t *testing.T) {
+		var frames []Frame
+		for e := uint64(1); e <= k; e++ {
+			frames = append(frames, psrFrame(e))
+		}
+		flushed := streamChild(t, []int{0}, frames)
+		for e := uint64(1); e <= k; e++ {
+			if f := flushed[e]; f.Type != TypePSR {
+				t.Fatalf("epoch %d flushed as type %d", e, f.Type)
+			}
+		}
+	})
+	t.Run("large-failure", func(t *testing.T) {
+		var frames []Frame
+		for e := uint64(1); e <= k; e++ {
+			if e == failEpoch {
+				frames = append(frames, Frame{Type: TypeFailure, Epoch: e, Payload: core.EncodeContributors(wide)})
+				continue
+			}
+			frames = append(frames, psrFrame(e))
+		}
+		flushed := streamChild(t, wide, frames)
+		f := flushed[failEpoch]
+		if f.Type != TypeFailure {
+			t.Fatalf("epoch %d flushed as type %d, want a failure", failEpoch, f.Type)
+		}
+		failed, err := core.DecodeContributors(f.Payload)
+		if err != nil || len(failed) != len(wide) {
+			t.Fatalf("failure flush names %d ids (%v), want %d", len(failed), err, len(wide))
+		}
+	})
+}
+
+// streamChild attaches one child covering covers to a fresh aggregator,
+// writes frames to the link in one write, and returns the aggregator's
+// upstream flush for each frame's epoch. It fails the test when the
+// aggregator makes more than len(frames)+1 Read calls on the link.
+func streamChild(t *testing.T, covers []int, frames []Frame) map[uint64]Frame {
+	t.Helper()
+	q, _, err := core.Setup(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +243,7 @@ func TestAggregatorChildReadsBuffered(t *testing.T) {
 		}, q.Params().Field())
 		builtCh <- built{node, err}
 	}()
-	child, _ := dialChild(t, aggLn.Addr().String(), []int{0})
+	child, _ := dialChild(t, aggLn.Addr().String(), covers)
 	defer child.Close()
 	parent, err := parentLn.Accept()
 	if err != nil {
@@ -205,15 +262,11 @@ func TestAggregatorChildReadsBuffered(t *testing.T) {
 	}
 	defer b.node.Close()
 
-	// All K frames go out in one write before the reader starts, so they sit
-	// back to back in the socket.
+	// Every frame goes out in one write before the reader starts, so they
+	// sit back to back in the socket.
 	var stream []byte
-	for e := uint64(1); e <= k; e++ {
-		psr, err := sources[0].Encrypt(prf.Epoch(e), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream = AppendFrame(stream, Frame{Type: TypePSR, Epoch: e, Payload: encodeReport(psr, nil)})
+	for _, f := range frames {
+		stream = AppendFrame(stream, f)
 	}
 	if _, err := child.Write(stream); err != nil {
 		t.Fatal(err)
@@ -222,20 +275,47 @@ func TestAggregatorChildReadsBuffered(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- b.node.Run() }()
 	// Merge workers may flush out of epoch order.
-	flushed := map[uint64]bool{}
-	for len(flushed) < k {
+	flushed := map[uint64]Frame{}
+	for len(flushed) < len(frames) {
 		f := readUpstream(t, parent)
-		if f.Type != TypePSR || f.Epoch < 1 || f.Epoch > k || flushed[f.Epoch] {
+		if _, dup := flushed[f.Epoch]; dup || f.Epoch < 1 || f.Epoch > uint64(len(frames)) {
 			t.Fatalf("unexpected flush: type %d epoch %d", f.Type, f.Epoch)
 		}
-		flushed[f.Epoch] = true
+		flushed[f.Epoch] = f
 	}
-	if got := reads.Load() - handshake; got > k+1 {
-		t.Fatalf("%d Read calls for %d frames, want at most %d", got, k, k+1)
+	if got := reads.Load() - handshake; got > int64(len(frames))+1 {
+		t.Fatalf("%d Read calls for %d frames, want at most %d", got, len(frames), len(frames)+1)
 	}
 	b.node.Close()
 	if err := <-runDone; err != nil {
 		t.Fatal(err)
+	}
+	return flushed
+}
+
+// TestDrainFramesZeroAllocPerFrame gates the upstream drains: a link's acks
+// share one FrameReader buffer, so draining 64 result frames allocates no
+// more than draining one.
+func TestDrainFramesZeroAllocPerFrame(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inhibits stack allocation; gate runs in the non-race suite")
+	}
+	drainAllocs := func(frames int) float64 {
+		var stream []byte
+		for e := 1; e <= frames; e++ {
+			stream = AppendFrame(stream, Frame{Type: TypeResult, Epoch: uint64(e), Payload: EncodeResult(uint64(e), true)})
+		}
+		r := bytes.NewReader(stream)
+		return testing.AllocsPerRun(200, func() {
+			r.Reset(stream)
+			if err := drainFrames(r); err != io.EOF {
+				t.Fatalf("drain ended with %v, want EOF", err)
+			}
+		})
+	}
+	one, many := drainAllocs(1), drainAllocs(64)
+	if perFrame := (many - one) / 63; perFrame != 0 {
+		t.Fatalf("drain allocates %.2f times per frame (%.0f for 1 frame, %.0f for 64), want 0", perFrame, one, many)
 	}
 }
 

@@ -286,40 +286,6 @@ func (f *Field) Exp(x Int, e Int) Int {
 	return result
 }
 
-// Inv returns x⁻¹ mod p via the binary extended Euclidean algorithm (HAC
-// 14.61), the same approach as the GMP inverse the paper's C_MI32 constant
-// measures. It returns ErrNotInvertible for x ≡ 0.
-func (f *Field) Inv(x Int) (Int, error) {
-	xr := f.Reduce(x)
-	if xr.IsZero() {
-		return Int{}, ErrNotInvertible
-	}
-	// p is prime and > 2, hence odd — a precondition of the binary method.
-	u, v := xr, f.p
-	x1, x2 := One, Zero
-	for !isOne(u) && !isOne(v) {
-		for u[0]&1 == 0 {
-			u = u.Rsh(1)
-			x1 = f.halve(x1)
-		}
-		for v[0]&1 == 0 {
-			v = v.Rsh(1)
-			x2 = f.halve(x2)
-		}
-		if u.Cmp(v) >= 0 {
-			u, _ = u.Sub(v)
-			x1 = f.Sub(x1, x2)
-		} else {
-			v, _ = v.Sub(u)
-			x2 = f.Sub(x2, x1)
-		}
-	}
-	if isOne(u) {
-		return x1, nil
-	}
-	return x2, nil
-}
-
 // InvFermat computes x⁻¹ as x^(p−2); retained as a cross-check oracle and
 // for the inversion ablation benchmark.
 func (f *Field) InvFermat(x Int) (Int, error) {
@@ -332,18 +298,6 @@ func (f *Field) InvFermat(x Int) (Int, error) {
 }
 
 func isOne(x Int) bool { return x[0] == 1 && x[1]|x[2]|x[3] == 0 }
-
-// halve returns x/2 mod p for odd p: x>>1 when even, (x+p)>>1 (with the
-// carry bit shifted back in) when odd.
-func (f *Field) halve(x Int) Int {
-	if x[0]&1 == 0 {
-		return x.Rsh(1)
-	}
-	sum, carry := x.Add(f.p)
-	half := sum.Rsh(1)
-	half[3] |= carry << 63
-	return half
-}
 
 // Rand returns a uniformly random field element in [0, p).
 func (f *Field) Rand() (Int, error) {

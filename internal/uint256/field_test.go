@@ -52,7 +52,7 @@ func knuthOnlyField(t *testing.T) *Field {
 
 // genericField returns a non-pseudo-Mersenne prime field (NIST P-256's
 // order-of-magnitude prime picked to exercise the Knuth path naturally).
-func genericField(t *testing.T) *Field {
+func genericField(t testing.TB) *Field {
 	t.Helper()
 	// p256 = 2^256 - 2^224 + 2^192 + 2^96 - 1 (the NIST P-256 field prime).
 	b, ok := new(big.Int).SetString(
@@ -287,30 +287,94 @@ func BenchmarkFieldInv(b *testing.B) {
 	}
 }
 
+// invEdgeValues are inverse inputs at the edges of the batched GCD: 1, the
+// small values, p−1 and p−2, powers of two, and values just around 2^31,
+// 2^64 and 2^192, where the 64-bit approximations switch between exact and
+// approximate.
+func invEdgeValues(f *Field) []Int {
+	p := f.Modulus()
+	pm1, _ := p.Sub(One)
+	pm2, _ := p.Sub(NewInt(2))
+	xs := []Int{One, NewInt(2), NewInt(3), pm1, pm2, {0, 1, 0, 0}, {^uint64(0), 0, 0, 0}, {0, 0, 0, 1}, {^uint64(0), ^uint64(0), ^uint64(0), 0}}
+	for k := uint(0); k < 256; k += 31 {
+		xs = append(xs, One.Lsh(k))
+		if k > 0 {
+			m, _ := One.Lsh(k).Sub(One)
+			xs = append(xs, m)
+		}
+	}
+	var out []Int
+	for _, x := range xs {
+		if x = f.Reduce(x); !x.IsZero() {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 func TestInvMatchesFermat(t *testing.T) {
 	for name, f := range map[string]*Field{"pm": NewDefaultField(), "generic": genericField(t)} {
 		r := rand.New(rand.NewSource(13))
-		for i := 0; i < 200; i++ {
+		xs := invEdgeValues(f)
+		for i := 0; i < 2000; i++ {
 			x := f.Reduce(randInt(r))
-			if x.IsZero() {
-				continue
+			if i%4 == 0 {
+				x = x.Rsh(uint(r.Intn(256))) // short values too
 			}
-			euclid, err := f.Inv(x)
+			if !x.IsZero() {
+				xs = append(xs, x)
+			}
+		}
+		for _, x := range xs {
+			inv, err := f.Inv(x)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: Inv(%v): %v", name, x, err)
 			}
 			fermat, err := f.InvFermat(x)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if euclid != fermat {
-				t.Fatalf("%s: Euclid %v != Fermat %v for x=%v", name, euclid, fermat, x)
+			if inv != fermat {
+				t.Fatalf("%s: Inv %v != Fermat %v for x=%v", name, inv, fermat, x)
 			}
 		}
 		if _, err := f.InvFermat(Zero); err != ErrNotInvertible {
 			t.Fatalf("%s: InvFermat(0): %v", name, err)
 		}
+		if _, err := f.Inv(f.Modulus()); err != ErrNotInvertible {
+			t.Fatalf("%s: Inv(p): %v", name, err)
+		}
 	}
+}
+
+// FuzzInv compares Inv with math/big's ModInverse on the pseudo-Mersenne
+// and the generic field.
+func FuzzInv(f *testing.F) {
+	pm := NewDefaultField()
+	for _, x := range invEdgeValues(pm) {
+		f.Add(x[0], x[1], x[2], x[3])
+	}
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
+	fields := map[string]*Field{"pm": pm, "generic": genericField(f)}
+	f.Fuzz(func(t *testing.T, x0, x1, x2, x3 uint64) {
+		for name, fd := range fields {
+			x := fd.Reduce(Int{x0, x1, x2, x3})
+			inv, err := fd.Inv(x)
+			if x.IsZero() {
+				if err != ErrNotInvertible {
+					t.Fatalf("%s: Inv(0): %v", name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Inv(%v): %v", name, x, err)
+			}
+			want := new(big.Int).ModInverse(x.ToBig(), fd.Modulus().ToBig())
+			if inv.ToBig().Cmp(want) != 0 {
+				t.Fatalf("%s: Inv(%v) = %v, want %v", name, x, inv, want)
+			}
+		}
+	})
 }
 
 func TestInvSmallValues(t *testing.T) {
@@ -332,18 +396,6 @@ func TestInvSmallValues(t *testing.T) {
 	}
 	if inv != pm1 {
 		t.Fatalf("Inv(p-1) = %v, want p-1", inv)
-	}
-}
-
-func TestHalve(t *testing.T) {
-	f := NewDefaultField()
-	r := rand.New(rand.NewSource(14))
-	for i := 0; i < 1000; i++ {
-		x := f.Reduce(randInt(r))
-		h := f.halve(x)
-		if f.Add(h, h) != x {
-			t.Fatalf("halve(%v) + itself != x", x)
-		}
 	}
 }
 

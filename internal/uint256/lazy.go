@@ -43,6 +43,15 @@ func (a *Accumulator) Add(x Int) {
 	}
 }
 
+// AddWord folds a 512-bit w into the running total, for callers that sum a
+// batch of values in registers first.
+func (a *Accumulator) AddWord(w Word512) {
+	var carry uint64
+	for i := range a.w {
+		a.w[i], carry = bits.Add64(a.w[i], w[i], carry)
+	}
+}
+
 // Word returns the raw 512-bit total.
 func (a *Accumulator) Word() Word512 { return a.w }
 

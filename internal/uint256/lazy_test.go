@@ -77,6 +77,18 @@ func TestAccumulatorWorstCaseCarries(t *testing.T) {
 	if !acc.Word().IsZero() {
 		t.Fatal("Reset did not clear the accumulator")
 	}
+	// AddWord carries through all eight limbs.
+	ones := Word512{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), 7}
+	oracle.SetInt64(0)
+	for i := 0; i < 100; i++ {
+		acc.AddWord(ones)
+		acc.Add(max)
+		oracle.Add(oracle, ones.ToBig())
+		oracle.Add(oracle, max.ToBig())
+	}
+	if got := acc.Word().ToBig(); got.Cmp(oracle) != 0 {
+		t.Fatalf("AddWord total %v != oracle %v", got, oracle)
+	}
 }
 
 func TestAddIntoMatchesAdd(t *testing.T) {
